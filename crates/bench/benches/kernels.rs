@@ -1,6 +1,8 @@
 //! Criterion microbenchmarks of the computational kernels underpinning the
 //! simulator: SpGEMM, SpMM, the fused dissimilarity kernel (both
-//! strategies), layer fusion, and one LSTM step.
+//! strategies), layer fusion, and the fused RNN cell step: an LSTM and a GRU
+//! step at 1,000 rows plus an LSTM step at 30,975 rows (the Mobile vertex
+//! count, where the RNN dominates a low-churn stream).
 
 // criterion's macros generate undocumented items; docs live in the header above.
 #![allow(missing_docs)]
@@ -11,7 +13,7 @@ use std::hint::black_box;
 use idgnn_graph::generate::{GraphConfig, StreamConfig};
 use idgnn_graph::{generate::generate_dynamic_graph, Normalization};
 use idgnn_model::onepass::{fused_dissimilarity, DissimilarityStrategy};
-use idgnn_model::{fusion, Activation, GcnStack, LstmCell, LstmState};
+use idgnn_model::{fusion, Activation, GcnStack, GruCell, LstmCell, LstmState};
 use idgnn_sparse::{ops, CsrMatrix, DenseMatrix};
 
 fn setup_graphs() -> (CsrMatrix, CsrMatrix, DenseMatrix) {
@@ -55,8 +57,15 @@ fn bench_model_kernels(c: &mut Criterion) {
     let (a, _delta, x) = setup_graphs();
     let stack = GcnStack::random(32, 16, 3, Activation::Relu, 3).expect("valid stack");
     let lstm = LstmCell::random(16, 16, 4);
+    let gru = GruCell::random(16, 16, 4);
     let z = DenseMatrix::filled(1_000, 16, 0.3);
     let state = LstmState::zeros(1_000, 16);
+    // Paper-sized cell (C = R = 32) over a Mobile-sized vertex set, stepped
+    // from a non-zero state so the H·U_cat product does real work.
+    let big_lstm = LstmCell::random(32, 32, 5);
+    let big_z = DenseMatrix::filled(30_975, 32, 0.3);
+    let (big_state, ..) =
+        big_lstm.step(&big_z, &LstmState::zeros(30_975, 32)).expect("shapes match");
 
     let mut g = c.benchmark_group("model");
     g.sample_size(20);
@@ -68,6 +77,12 @@ fn bench_model_kernels(c: &mut Criterion) {
     });
     g.bench_function("lstm_step", |b| {
         b.iter(|| lstm.step(black_box(&z), black_box(&state)).expect("shapes match"))
+    });
+    g.bench_function("gru_step", |b| {
+        b.iter(|| gru.step(black_box(&z), black_box(&state)).expect("shapes match"))
+    });
+    g.bench_function("lstm_step_30975x32", |b| {
+        b.iter(|| big_lstm.step(black_box(&big_z), black_box(&big_state)).expect("shapes match"))
     });
     g.finish();
 }

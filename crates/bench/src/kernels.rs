@@ -1,7 +1,7 @@
 //! The `kernels` microbenchmark: wall-clock timing of the sparse kernels
-//! (SpGEMM, SpMM, sparse add) and of the cross-snapshot power chain —
-//! cold vs warm [`PowerCache`] — on the Fig. 12 datasets at several kernel
-//! thread counts.
+//! (SpGEMM, SpMM, sparse add), of the cross-snapshot power chain — cold vs
+//! warm [`PowerCache`] — and of the fused RNN cell step on the Fig. 12
+//! datasets at several kernel thread counts.
 //!
 //! Unlike the figure harnesses (which report *modelled* ops/cycles and must
 //! stay byte-identical across hosts), this report measures the host itself,
@@ -23,8 +23,8 @@ use idgnn_graph::{DynamicGraph, Normalization};
 use idgnn_model::onepass::{
     advance_power_chains, fused_dissimilarity, fused_dissimilarity_cached, DissimilarityStrategy,
 };
-use idgnn_model::PowerCache;
-use idgnn_sparse::{ops, parallel, CsrMatrix, OpStats, Parallelism};
+use idgnn_model::{DgnnModel, LstmState, ModelConfig, PowerCache};
+use idgnn_sparse::{ops, parallel, CsrMatrix, DenseMatrix, OpStats, Parallelism};
 
 use crate::context::{Context, EvalDims, ExperimentScale, Result};
 use crate::report::table;
@@ -66,6 +66,11 @@ pub struct KernelBenchConfig {
     /// saved ops) bit-exactly where the identity labeling puts it.
     pub locality_rates: Vec<f64>,
 }
+
+/// Kernel thread counts the RNN-step section requests, clamped to the host
+/// like [`KernelBenchConfig::thread_counts`]: the step is timed at 1 and 2
+/// threads, the layouts the end-to-end benchmark runs its kernels at.
+const RNN_THREAD_COUNTS: [usize; 2] = [1, 2];
 
 /// Element count per array of the cache-resident triad baseline: three
 /// arrays × 8192 × 4 B = 96 KiB, inside a typical ≥256 KiB L2. Its
@@ -220,6 +225,37 @@ pub struct BoundsCheckTiming {
     /// Whether the default path ran the certificate-backed unchecked arms
     /// (`proven-unchecked` was enabled at build time).
     pub unchecked_enabled: bool,
+}
+
+/// One cell of the RNN-step section: one fused cell step (DESIGN.md §17)
+/// over a dataset's `V` vertex rows at one pinned kernel thread count.
+///
+/// The step runs from a non-zero state (one untimed warm-up step from
+/// zeros), so the `H·U_cat` product does real work instead of riding the
+/// GEMM zero-skip. `flops` is exact: the RNN-A plus RNN-B [`OpStats`] the
+/// executors charge for the same step.
+#[derive(Debug, Clone, Serialize)]
+pub struct RnnStepTiming {
+    /// Cell family (`lstm` | `gru`).
+    pub cell: String,
+    /// Dataset short code (its vertex count sizes the step).
+    pub dataset: String,
+    /// Vertex rows `V` the step runs over.
+    pub rows: usize,
+    /// RNN input width `C` (the GNN output width).
+    pub input_dim: usize,
+    /// Hidden width `R`.
+    pub hidden_dim: usize,
+    /// Kernel threads the timed region was pinned to.
+    pub threads: usize,
+    /// Minimum wall time of one step across the interleaved samples, ms.
+    pub ms_per_step: f64,
+    /// Exact scalar ops of one step (`mults + adds` of RNN-A and RNN-B).
+    pub flops: u64,
+    /// `flops / ms_per_step`, in GFLOP/s.
+    pub gflops: f64,
+    /// Samples taken.
+    pub samples: usize,
 }
 
 /// Roofline-style characterization of one kernel on one dataset at the
@@ -496,6 +532,11 @@ pub struct KernelBenchReport {
     /// (DESIGN.md §16); `unchecked_enabled` on the rows records whether the
     /// build ran the certificate-backed unchecked arms.
     pub bounds_checks: Vec<BoundsCheckTiming>,
+    /// RNN-step thread counts actually swept (the request clamped to the
+    /// host); every `threads` value in `rnn_step` comes from this list.
+    pub rnn_thread_counts: Vec<usize>,
+    /// Fused RNN cell step per cell family, dataset and thread count.
+    pub rnn_step: Vec<RnnStepTiming>,
     /// Total ops (mults + adds) avoided by reuse across the delta-rate
     /// sweep's instrumented passes.
     pub delta_saved_total: u64,
@@ -760,6 +801,97 @@ fn measure_bounds_checks(sets: &[Operands], samples: usize) -> Result<Vec<Bounds
                 samples,
                 unchecked_enabled: cfg!(feature = "proven-unchecked"),
             });
+        }
+    }
+    Ok(out)
+}
+
+/// The RNN cell families the `rnn_step` section times, in report order.
+const RNN_CELLS: [&str; 2] = ["lstm", "gru"];
+
+/// A deterministic, dense `rows × cols` GNN-output stand-in with values in
+/// `[-1, 1]` (no exact zeros, so the step's `Z·W_cat` product is fully
+/// populated).
+fn synthetic_z(rows: usize, cols: usize) -> Result<DenseMatrix> {
+    let data = (0..rows * cols)
+        .map(|i| {
+            let h = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
+            (h as f32 + 0.5) / (1u64 << 23) as f32 - 1.0
+        })
+        .collect();
+    Ok(DenseMatrix::from_vec(rows, cols, data)?)
+}
+
+/// The interleaved min-of-N RNN-step sweep over every cell family, dataset
+/// and swept thread count. An untimed pass first checks that every thread
+/// count produces the serial step's state bit for bit. Cell layout is
+/// `(si * counts.len() + ti) * 2 + ci` — dataset-major, then thread count,
+/// then cell.
+// lint: timing-carrier -- interleaved min-of-N wall-clock feeds the report's timing fields, independent of the bit-checked results
+fn measure_rnn_steps(
+    sets: &[Operands],
+    counts: &[usize],
+    samples: usize,
+) -> Result<Vec<RnnStepTiming>> {
+    let samples = samples.max(3);
+    let cfg = ModelConfig::paper_default(8);
+    let models = [DgnnModel::from_config(&cfg)?, DgnnModel::from_config(&cfg.with_gru())?];
+    let dims = cfg.gnn_hidden;
+    // Per (dataset, cell): the input, the warmed-up start state, and the
+    // step's exact op count.
+    let mut cases = Vec::new();
+    for set in sets {
+        let v = set.a.rows();
+        let z = synthetic_z(v, dims)?;
+        for (model, cell) in models.iter().zip(RNN_CELLS) {
+            let _serial = parallel::kernel_scope(Parallelism::serial());
+            let (start, ..) = model.rnn_step(&z, &LstmState::zeros(v, cfg.rnn_hidden))?;
+            let (reference, ops_a, ops_b) = model.rnn_step(&z, &start)?;
+            drop(_serial);
+            for &t in counts {
+                let _scope = parallel::kernel_scope(Parallelism::new(t));
+                let (next, ..) = model.rnn_step(&z, &start)?;
+                let same = |a: &DenseMatrix, b: &DenseMatrix| {
+                    a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits())
+                };
+                assert!(
+                    same(&next.h, &reference.h) && same(&next.c, &reference.c),
+                    "{cell} step on {} differs at {t} threads from the serial step",
+                    set.short
+                );
+            }
+            cases.push((model, z.clone(), start, (ops_a + ops_b).total()));
+        }
+    }
+    let k = RNN_CELLS.len();
+    let mins = interleaved_min_ms(sets.len() * counts.len() * k, samples, |cell| {
+        let (ci, ti, si) = (cell % k, (cell / k) % counts.len(), cell / (k * counts.len()));
+        // lint: allow(panic-surface) -- in-bounds: `cell` decodes over the same three ranges the driver was sized with
+        let ((model, z, start, _), t) = (&cases[si * k + ci], counts[ti]);
+        let _scope = parallel::kernel_scope(Parallelism::new(t));
+        let t0 = std::time::Instant::now();
+        black_box(model.rnn_step(black_box(z), black_box(start))?);
+        Ok(t0.elapsed().as_secs_f64() * 1e3)
+    })?;
+    let mut out = Vec::new();
+    for (si, set) in sets.iter().enumerate() {
+        for (ti, &t) in counts.iter().enumerate() {
+            for (ci, cell) in RNN_CELLS.iter().enumerate() {
+                // lint: allow(panic-surface) -- in-bounds: `mins` and `cases` were sized over the same loop ranges
+                let (ms, flops) = (mins[(si * counts.len() + ti) * k + ci], cases[si * k + ci].3);
+                out.push(RnnStepTiming {
+                    cell: (*cell).to_string(),
+                    dataset: set.short.clone(),
+                    rows: set.a.rows(),
+                    input_dim: cfg.gnn_hidden,
+                    hidden_dim: cfg.rnn_hidden,
+                    threads: t,
+                    ms_per_step: ms,
+                    flops,
+                    gflops: if ms > 0.0 { flops as f64 / ms / 1e6 } else { 0.0 },
+                    samples,
+                });
+            }
         }
     }
     Ok(out)
@@ -1262,6 +1394,10 @@ pub fn run(cfg: &KernelBenchConfig) -> Result<KernelBenchReport> {
     // Checked-vs-default bounds-check comparison (DESIGN.md §16).
     let bounds_checks = measure_bounds_checks(&sets, cfg.samples)?;
 
+    // Fused RNN cell step per dataset V (DESIGN.md §17).
+    let rnn_thread_counts = clamp_threads(RNN_THREAD_COUNTS.to_vec());
+    let rnn_step = measure_rnn_steps(&sets, &rnn_thread_counts, cfg.samples)?;
+
     let (pool_hits, pool_misses) = idgnn_sparse::workspace::pool_counters();
     let max_warm_speedup =
         power_chain.iter().map(|p| p.warm_speedup).fold(0.0f64, f64::max);
@@ -1282,6 +1418,8 @@ pub fn run(cfg: &KernelBenchConfig) -> Result<KernelBenchReport> {
         delta_rates,
         locality,
         bounds_checks,
+        rnn_thread_counts,
+        rnn_step,
         delta_saved_total,
         max_warm_speedup,
         pool_hits,
@@ -1398,6 +1536,31 @@ impl std::fmt::Display for KernelBenchReport {
                 table(
                     &format!("Bounds checks, single thread ({mode})"),
                     &["dataset", "kernel", "checked ms", "default ms", "speedup"],
+                    &rows,
+                )
+            )?;
+        }
+        if !self.rnn_step.is_empty() {
+            let rows: Vec<Vec<String>> = self
+                .rnn_step
+                .iter()
+                .map(|r| {
+                    vec![
+                        r.dataset.clone(),
+                        r.cell.clone(),
+                        r.rows.to_string(),
+                        r.threads.to_string(),
+                        format!("{:.3}", r.ms_per_step),
+                        format!("{:.2}", r.gflops),
+                    ]
+                })
+                .collect();
+            writeln!(
+                f,
+                "{}",
+                table(
+                    "Fused RNN cell step (min of interleaved samples)",
+                    &["dataset", "cell", "V", "threads", "ms/step", "GFLOP/s"],
                     &rows,
                 )
             )?;
@@ -1604,6 +1767,7 @@ pub fn validate_report_json(text: &str) -> std::result::Result<(), String> {
         "\"triad\"",
         "\"locality\"",
         "\"bounds_checks\"",
+        "\"rnn_step\"",
     ] {
         if !text.contains(key) {
             return Err(format!("missing required key {key}"));
@@ -2014,7 +2178,86 @@ pub fn validate_report_structure(text: &str) -> std::result::Result<(), String> 
             "`bounds_checks` covers kernels {bc_kernels:?}, expected both spgemm and spmm"
         ));
     }
+
+    // --- rnn_step (the fused RNN cell kernel, DESIGN.md §17) ---
+    non_empty_array("rnn_step")?;
+    let rnn_swept = counts_of("rnn_thread_counts")?;
+    if rnn_swept.is_empty() {
+        return Err("`rnn_thread_counts` is empty".to_string());
+    }
+    let mut rnn_cells: Vec<&str> = Vec::new();
+    let mut rnn_counts: Vec<f64> = Vec::new();
+    for (i, row) in doc.get("rnn_step").and_then(Json::as_array).unwrap_or(&[]).iter().enumerate()
+    {
+        let field = |name: &str| {
+            row.get(name)
+                .and_then(Json::as_f64)
+                .ok_or_else(|| format!("`rnn_step[{i}]` lacks numeric field `{name}`"))
+        };
+        let cell = row
+            .get("cell")
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("`rnn_step[{i}]` lacks string field `cell`"))?;
+        if row.get("dataset").and_then(Json::as_str).is_none_or(str::is_empty) {
+            return Err(format!("`rnn_step[{i}]` lacks string field `dataset`"));
+        }
+        let t = field("threads")?;
+        if !rnn_swept.contains(&t) {
+            return Err(format!(
+                "`rnn_step[{i}]` ran at {t} threads, outside `rnn_thread_counts` {rnn_swept:?}"
+            ));
+        }
+        let (v, c, r) = (field("rows")?, field("input_dim")?, field("hidden_dim")?);
+        let expected = rnn_step_flops(cell, v, c, r)
+            .ok_or_else(|| format!("`rnn_step[{i}]` times unknown cell `{cell}`"))?;
+        let flops = field("flops")?;
+        if v < 1.0 || c < 1.0 || r < 1.0 || (flops - expected).abs() > 0.5 {
+            return Err(format!(
+                "`rnn_step[{i}]` ({cell}, V={v}, C={c}, R={r}) reports {flops} flops, not the \
+                 closed-form {expected}"
+            ));
+        }
+        let (ms, gflops) = (field("ms_per_step")?, field("gflops")?);
+        if ms <= 0.0 || gflops <= 0.0 {
+            return Err(format!("`rnn_step[{i}]` has a non-positive time or rate"));
+        }
+        if (gflops - flops / ms / 1e6).abs() > 1e-6 * gflops {
+            return Err(format!(
+                "`rnn_step[{i}]` reports {gflops} GFLOP/s, inconsistent with {flops} flops in \
+                 {ms} ms"
+            ));
+        }
+        if !rnn_cells.contains(&cell) {
+            rnn_cells.push(cell);
+        }
+        if !rnn_counts.contains(&t) {
+            rnn_counts.push(t);
+        }
+    }
+    if rnn_cells.len() != RNN_CELLS.len() {
+        return Err(format!("`rnn_step` covers cells {rnn_cells:?}, expected {RNN_CELLS:?}"));
+    }
+    if rnn_counts.len() != rnn_swept.len() {
+        return Err(format!(
+            "`rnn_step` rows cover thread counts {rnn_counts:?}, not `rnn_thread_counts` \
+             {rnn_swept:?}"
+        ));
+    }
     Ok(())
+}
+
+/// Closed-form scalar ops (`mults + adds`) of one fused RNN step of `cell`
+/// over `v` rows with input width `c` and hidden width `r`: the `G` gate
+/// GEMMs of each operand (`v·r·(2k − 1)` each) plus the 8·V·R element-wise
+/// epilogue both cells charge (LSTM: 4 gate adds + 3 mults + 1 add; GRU:
+/// 3 mults + 5 adds). `None` for an unknown cell.
+fn rnn_step_flops(cell: &str, v: f64, c: f64, r: f64) -> Option<f64> {
+    let gates = match cell {
+        "lstm" => 4.0,
+        "gru" => 3.0,
+        _ => return None,
+    };
+    Some(gates * v * r * (2.0 * r - 1.0) + gates * v * r * (2.0 * c - 1.0) + 8.0 * v * r)
 }
 
 #[cfg(test)]
@@ -2093,7 +2336,14 @@ mod tests {
             assert!(b.rows > 0 && b.nnz > 0);
             assert_eq!(b.unchecked_enabled, cfg!(feature = "proven-unchecked"));
         }
+        assert_eq!(r.rnn_step.len(), 2 * r.rnn_thread_counts.len(), "lstm+gru per thread count");
+        for row in &r.rnn_step {
+            assert!(row.ms_per_step > 0.0 && row.gflops > 0.0);
+            let (v, c, h) = (row.rows as f64, row.input_dim as f64, row.hidden_dim as f64);
+            assert_eq!(Some(row.flops as f64), rnn_step_flops(&row.cell, v, c, h));
+        }
         let text = r.to_string();
+        assert!(text.contains("Fused RNN cell step"));
         assert!(text.contains("Power chain"));
         assert!(text.contains("spgemm"));
         assert!(text.contains("Edge-churn sweep"));
@@ -2114,7 +2364,7 @@ mod tests {
         let empty_sections = "{\"scale\": \"smoke\", \"samples\": 1, \"thread_counts\": [1], \
              \"kernels\": [], \"power_chain\": [], \"delta_rates\": [], \
              \"host_cores\": 1, \"scaling\": [], \"roofline\": [], \"triad\": {}, \
-             \"locality\": {}, \"bounds_checks\": [], \
+             \"locality\": {}, \"bounds_checks\": [], \"rnn_step\": [], \
              \"delta_saved_total\": 5, \"max_warm_speedup\": 1.2}";
         validate_report_json(empty_sections).unwrap();
         assert!(validate_report_structure(empty_sections).is_err());
@@ -2122,7 +2372,7 @@ mod tests {
         let wrong_types = "{\"scale\": 1, \"samples\": \"many\", \"thread_counts\": 1, \
              \"kernels\": {}, \"power_chain\": 0, \"delta_rates\": \"x\", \
              \"host_cores\": \"two\", \"scaling\": 0, \"roofline\": {}, \"triad\": [], \
-             \"locality\": 0, \"bounds_checks\": \"none\", \
+             \"locality\": 0, \"bounds_checks\": \"none\", \"rnn_step\": 0, \
              \"delta_saved_total\": [], \"max_warm_speedup\": \"big\"}";
         validate_report_json(wrong_types).unwrap();
         assert!(validate_report_structure(wrong_types).is_err());
@@ -2209,10 +2459,16 @@ mod tests {
                   \"delta_rates\": [], \"max_warm_speedup\": 1.0, \"host_cores\": 1, \
                   \"scaling\": [], \"roofline\": [], \"triad\": {}, \"locality\": {}}";
         assert!(validate_report_json(missing_bounds).is_err());
-        let ok = "{\"kernels\": [], \"power_chain\": [], \"thread_counts\": [1], \
+        // …and so is the RNN-step section.
+        let missing_rnn = "{\"kernels\": [], \"power_chain\": [], \"thread_counts\": [1], \
                   \"delta_rates\": [], \"max_warm_speedup\": 1.0, \"host_cores\": 1, \
                   \"scaling\": [], \"roofline\": [], \"triad\": {}, \"locality\": {}, \
                   \"bounds_checks\": []}";
+        assert!(validate_report_json(missing_rnn).is_err());
+        let ok = "{\"kernels\": [], \"power_chain\": [], \"thread_counts\": [1], \
+                  \"delta_rates\": [], \"max_warm_speedup\": 1.0, \"host_cores\": 1, \
+                  \"scaling\": [], \"roofline\": [], \"triad\": {}, \"locality\": {}, \
+                  \"bounds_checks\": [], \"rnn_step\": []}";
         validate_report_json(ok).unwrap();
     }
 
@@ -2268,10 +2524,28 @@ mod tests {
               \"delta_rates\": [{{\"dataset\": \"AS\", \"threads\": 1}}], \
               \"delta_saved_total\": 5, \"max_warm_speedup\": 1.2, \
               \"scaling\": [{scaling}], \"roofline\": [{roofline}], \"triad\": {triad}, \
-              \"locality\": {}, \"bounds_checks\": {}}}",
+              \"locality\": {}, \"bounds_checks\": {}, \"rnn_thread_counts\": [1, 2], \
+              \"rnn_step\": {}}}",
             locality_fixture(),
-            bounds_fixture()
+            bounds_fixture(),
+            rnn_fixture()
         )
+    }
+
+    /// A structurally valid RNN-step section: both cells on one 100-row
+    /// dataset at 1 and 2 threads, flops at the closed form.
+    fn rnn_fixture() -> String {
+        let row = |cell: &str, threads: u32| {
+            let flops = rnn_step_flops(cell, 100.0, 32.0, 32.0).unwrap();
+            format!(
+                "{{\"cell\": \"{cell}\", \"dataset\": \"AS\", \"rows\": 100, \
+                  \"input_dim\": 32, \"hidden_dim\": 32, \"threads\": {threads}, \
+                  \"ms_per_step\": 2.0, \"flops\": {flops}, \"gflops\": {:?}, \
+                  \"samples\": 3}}",
+                flops / 2.0 / 1e6
+            )
+        };
+        format!("[{}, {}, {}, {}]", row("lstm", 1), row("gru", 1), row("lstm", 2), row("gru", 2))
     }
 
     fn scaling_row(dataset: &str, rows: u32, threads: u32, efficiency: f64) -> String {
@@ -2313,6 +2587,43 @@ mod tests {
         let skewed = good.replace("\"speedup\": 1.0, \"efficiency\": 1.0}", "\"speedup\": 1.0, \"efficiency\": 0.9}");
         let err = validate_report_structure(&skewed).unwrap_err();
         assert!(err.contains("baseline row"), "{err}");
+    }
+
+    #[test]
+    fn validator_gates_the_rnn_step_section() {
+        let good = report_fixture(8, &good_scaling(), GOOD_ROOFLINE, GOOD_TRIAD);
+        validate_report_structure(&good).unwrap();
+
+        // A flop count off the closed form (e.g. a dropped epilogue term).
+        let lstm_flops = rnn_step_flops("lstm", 100.0, 32.0, 32.0).unwrap();
+        let wrong = good.replacen(
+            &format!("\"flops\": {lstm_flops}"),
+            &format!("\"flops\": {}", lstm_flops - 3200.0),
+            1,
+        );
+        let err = validate_report_structure(&wrong).unwrap_err();
+        assert!(err.contains("closed-form"), "{err}");
+
+        // Rows at a thread count the section never recorded.
+        let narrow = good.replace("\"rnn_thread_counts\": [1, 2]", "\"rnn_thread_counts\": [1]");
+        let err = validate_report_structure(&narrow).unwrap_err();
+        assert!(err.contains("outside `rnn_thread_counts`"), "{err}");
+
+        // A sweep claim the rows do not back.
+        let wide =
+            good.replace("\"rnn_thread_counts\": [1, 2]", "\"rnn_thread_counts\": [1, 2, 4]");
+        let err = validate_report_structure(&wide).unwrap_err();
+        assert!(err.contains("not `rnn_thread_counts`"), "{err}");
+
+        // Only one cell family timed.
+        let one_cell = good.replace("\"cell\": \"gru\"", "\"cell\": \"lstm\"");
+        let err = validate_report_structure(&one_cell);
+        assert!(err.is_err(), "gru rows relabelled as lstm must fail (flops or coverage)");
+
+        // An empty section.
+        let empty = format!("{}\"rnn_step\": []}}", &good[..good.find("\"rnn_step\":").unwrap()]);
+        let err = validate_report_structure(&empty).unwrap_err();
+        assert!(err.contains("rnn_step"), "{err}");
     }
 
     #[test]

@@ -7,8 +7,8 @@ use idgnn_sparse::{DenseMatrix, OpStats};
 
 use crate::error::{ModelError, Result};
 use crate::gcn::GcnStack;
-use crate::gru::{GruCell, GruPrecomp};
-use crate::lstm::{LstmCell, LstmState, RnnAOutput};
+use crate::gru::GruCell;
+use crate::lstm::{LstmCell, LstmState};
 use crate::Activation;
 
 /// Which RNN kernel a model uses.
@@ -56,16 +56,6 @@ impl RnnKernel {
             RnnKernel::Gru(_) => 3,
         }
     }
-}
-
-/// Kernel-specific RNN-A precomputation.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum RnnPrecomp {
-    /// LSTM `H·U_α` products.
-    Lstm(RnnAOutput),
-    /// GRU `H·U_α` products.
-    Gru(GruPrecomp),
 }
 
 /// Dimension summary of a DGNN model.
@@ -208,41 +198,23 @@ impl DgnnModel {
         }
     }
 
-    /// Runs the kernel-appropriate RNN-A phase (paper Eq. 16).
+    /// One RNN step over all vertices through the kernel's fused row pass
+    /// (DESIGN.md §17), returning the next state and the op counts of the
+    /// paper's two RNN phases — RNN-A (Eq. 16, the GNN-independent
+    /// `H^{t-1}·U_α` products) and RNN-B (Eq. 17, everything that consumes
+    /// `z`) — so executors can still charge them separately.
     ///
     /// # Errors
     ///
-    /// Returns a shape error if `h_prev` has the wrong width.
-    pub fn rnn_a(&self, h_prev: &DenseMatrix) -> Result<(RnnPrecomp, OpStats)> {
-        match &self.rnn {
-            RnnKernel::Lstm(c) => {
-                let (a, ops) = c.rnn_a(h_prev)?;
-                Ok((RnnPrecomp::Lstm(a), ops))
-            }
-            RnnKernel::Gru(c) => {
-                let (a, ops) = c.rnn_a(h_prev)?;
-                Ok((RnnPrecomp::Gru(a), ops))
-            }
-        }
-    }
-
-    /// Runs the kernel-appropriate RNN-B phase (paper Eq. 17).
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error on any dimension mismatch, or
-    /// [`ModelError::InputDimensionMismatch`] if the precomputation came
-    /// from a different kernel family.
-    pub fn rnn_b(
+    /// Returns a shape error if `z` is not `V × C` or `prev` is not `V × R`.
+    pub fn rnn_step(
         &self,
         z: &DenseMatrix,
-        pre: &RnnPrecomp,
         prev: &LstmState,
-    ) -> Result<(LstmState, OpStats)> {
-        match (&self.rnn, pre) {
-            (RnnKernel::Lstm(c), RnnPrecomp::Lstm(a)) => c.rnn_b(z, a, prev),
-            (RnnKernel::Gru(c), RnnPrecomp::Gru(a)) => c.rnn_b(z, a, prev),
-            _ => Err(ModelError::InputDimensionMismatch { expected: 0, got: 0 }),
+    ) -> Result<(LstmState, OpStats, OpStats)> {
+        match &self.rnn {
+            RnnKernel::Lstm(c) => c.step(z, prev),
+            RnnKernel::Gru(c) => c.step(z, prev),
         }
     }
 

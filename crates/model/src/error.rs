@@ -21,6 +21,19 @@ pub enum ModelError {
         /// Input width of the offending layer.
         got: usize,
     },
+    /// An RNN cell gate weight has the wrong shape.
+    RnnWeightShape {
+        /// Index of the offending gate (cell-specific order, e.g. LSTM
+        /// input/forget/output/cell).
+        gate: usize,
+        /// Which weight of the gate: `"W"` (input, `C × R`) or `"U"`
+        /// (hidden, `R × R`).
+        weight: &'static str,
+        /// The shape the cell requires, `(rows, cols)`.
+        expected: (usize, usize),
+        /// The shape supplied, `(rows, cols)`.
+        got: (usize, usize),
+    },
     /// The input feature width does not match the model.
     InputDimensionMismatch {
         /// Model input width `K`.
@@ -41,6 +54,11 @@ impl fmt::Display for ModelError {
             ModelError::LayerDimensionMismatch { layer, expected, got } => write!(
                 f,
                 "GCN layer {layer} expects input width {expected} but the previous layer outputs {got}"
+            ),
+            ModelError::RnnWeightShape { gate, weight, expected, got } => write!(
+                f,
+                "RNN gate {gate} weight {weight} is {}×{} but the cell requires {}×{}",
+                got.0, got.1, expected.0, expected.1
             ),
             ModelError::InputDimensionMismatch { expected, got } => {
                 write!(f, "input features have width {got}, model expects {expected}")
@@ -85,6 +103,8 @@ mod tests {
         assert!(ModelError::EmptyModel.to_string().contains("at least one"));
         let e = ModelError::LayerDimensionMismatch { layer: 2, expected: 8, got: 4 };
         assert!(e.to_string().contains("layer 2"));
+        let e = ModelError::RnnWeightShape { gate: 3, weight: "U", expected: (4, 4), got: (5, 4) };
+        assert_eq!(e.to_string(), "RNN gate 3 weight U is 5×4 but the cell requires 4×4");
         let e = ModelError::InputDimensionMismatch { expected: 3, got: 5 };
         assert!(e.to_string().contains("width 5"));
     }

@@ -10,7 +10,7 @@ use idgnn_sparse::{ops, DenseMatrix, OpStats};
 
 use crate::cost::{dense_bytes, DataClass, MemoryModel, Phase, SnapshotCost, Traffic};
 use crate::error::Result;
-use crate::exec::{ExecutionResult, SnapshotOutput};
+use crate::exec::{push_rnn, ExecutionResult, SnapshotOutput};
 use crate::lstm::LstmState;
 use crate::DgnnModel;
 
@@ -70,7 +70,7 @@ pub(crate) fn run(
     // lint: allow(panic-surface) -- invariant documented at the call site; grandfathered by the PR5 ratchet-to-zero
     let mut z = layer_outs.last().expect("non-empty").clone();
 
-    push_rnn(model, &z, &mut state, v, dims.rnn_hidden_dim, mem, &mut cost0)?;
+    push_rnn(model, &z, &mut state, v, mem, &mut cost0)?;
     outputs.push(SnapshotOutput { z: z.clone(), state: state.clone() });
     costs.push(cost0);
 
@@ -207,41 +207,12 @@ pub(crate) fn run(
             t_read.read(DataClass::OutputFeature, dense_bytes(unchanged, dims.gnn_out_dim));
             cost.push(Phase::Diu, OpStats::default(), t_read);
         }
-        push_rnn(model, &z, &mut state, v, dims.rnn_hidden_dim, mem, &mut cost)?;
+        push_rnn(model, &z, &mut state, v, mem, &mut cost)?;
         outputs.push(SnapshotOutput { z: z.clone(), state: state.clone() });
         costs.push(cost);
         a_prev = a_next;
     }
     Ok(ExecutionResult { outputs, costs })
-}
-
-fn push_rnn(
-    model: &DgnnModel,
-    z: &DenseMatrix,
-    state: &mut LstmState,
-    v: usize,
-    r_dim: usize,
-    mem: &MemoryModel,
-    cost: &mut SnapshotCost,
-) -> Result<()> {
-    let (a_pre, ops_a) = model.rnn_a(&state.h)?;
-    let state_bytes = 2 * dense_bytes(v, r_dim);
-    let rnn_spilled = !mem.fits(state_bytes + dense_bytes(v, z.cols()));
-    let mut ta = Traffic::none();
-    if rnn_spilled {
-        ta.read(DataClass::OutputFeature, dense_bytes(v, r_dim));
-    }
-    cost.push(Phase::RnnA, ops_a, ta);
-
-    let (next, ops_b) = model.rnn_b(z, &a_pre, state)?;
-    let mut tb = Traffic::none();
-    if rnn_spilled {
-        tb.read(DataClass::OutputFeature, dense_bytes(v, r_dim));
-        tb.write(DataClass::OutputFeature, state_bytes);
-    }
-    cost.push(Phase::RnnB, ops_b, tb);
-    *state = next;
-    Ok(())
 }
 
 /// Re-exported for tests: the structural rows of an operator delta.

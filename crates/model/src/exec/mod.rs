@@ -22,7 +22,7 @@ pub use onepass::{CombinationOrder, OnePassOptions};
 use idgnn_graph::DynamicGraph;
 use idgnn_sparse::DenseMatrix;
 
-use crate::cost::{MemoryModel, SnapshotCost};
+use crate::cost::{dense_bytes, DataClass, MemoryModel, Phase, SnapshotCost, Traffic};
 use crate::error::Result;
 use crate::lstm::LstmState;
 use crate::DgnnModel;
@@ -126,6 +126,43 @@ pub fn run_onepass_with(
     options: &OnePassOptions,
 ) -> Result<ExecutionResult> {
     onepass::run(model, dg, mem, options)
+}
+
+/// Runs one RNN step over all `v` vertices on `z` (advancing `state` in
+/// place) and charges it to `cost` as the paper's two phases: `Phase::RnnA`
+/// with the `H·U_α` op counts and `Phase::RnnB` with the rest. When the
+/// state does not fit on chip alongside `z`, RNN-A reads `H` from DRAM and
+/// RNN-B reads it again and writes back both state matrices. Shared by all
+/// three executors.
+///
+/// # Errors
+///
+/// Propagates RNN shape errors.
+pub(crate) fn push_rnn(
+    model: &DgnnModel,
+    z: &DenseMatrix,
+    state: &mut LstmState,
+    v: usize,
+    mem: &MemoryModel,
+    cost: &mut SnapshotCost,
+) -> Result<()> {
+    let (next, ops_a, ops_b) = model.rnn_step(z, state)?;
+    let r_dim = model.dims().rnn_hidden_dim;
+    let state_bytes = 2 * dense_bytes(v, r_dim);
+    let rnn_spilled = !mem.fits(state_bytes + dense_bytes(v, z.cols()));
+    let mut ta = Traffic::none();
+    if rnn_spilled {
+        ta.read(DataClass::OutputFeature, dense_bytes(v, r_dim));
+    }
+    cost.push(Phase::RnnA, ops_a, ta);
+    let mut tb = Traffic::none();
+    if rnn_spilled {
+        tb.read(DataClass::OutputFeature, dense_bytes(v, r_dim));
+        tb.write(DataClass::OutputFeature, state_bytes);
+    }
+    cost.push(Phase::RnnB, ops_b, tb);
+    *state = next;
+    Ok(())
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@ use idgnn_sparse::{ops, CsrMatrix, DenseMatrix, OpStats};
 
 use crate::cost::{dense_bytes, DataClass, MemoryModel, Phase, SnapshotCost, Traffic};
 use crate::error::Result;
-use crate::exec::{ExecutionResult, SnapshotOutput};
+use crate::exec::{push_rnn, ExecutionResult, SnapshotOutput};
 use crate::fusion::fuse_weights;
 use crate::lstm::LstmState;
 use crate::onepass::{fused_dissimilarity_cached, DissimilarityStrategy, PowerCache};
@@ -270,7 +270,7 @@ pub(crate) fn run(
     // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
     let mut x0_prev = snaps[0].features().clone();
 
-    push_rnn(model, &x_c, &mut state, v, dims.rnn_hidden_dim, mem, &mut cost0)?;
+    push_rnn(model, &x_c, &mut state, v, mem, &mut cost0)?;
     outputs.push(emit_output(&x_c, &state, perm.as_ref())?);
     costs.push(cost0);
 
@@ -372,7 +372,7 @@ pub(crate) fn run(
                 pre_act = p;
             }
             x_c = activation.apply(&pre_act);
-            push_rnn(model, &x_c, &mut state, v, dims.rnn_hidden_dim, mem, &mut cost)?;
+            push_rnn(model, &x_c, &mut state, v, mem, &mut cost)?;
             outputs.push(emit_output(&x_c, &state, perm.as_ref())?);
             costs.push(cost);
             a_prev = a_next;
@@ -495,7 +495,7 @@ pub(crate) fn run(
         }
 
         // RNN consumes X_C in place.
-        push_rnn(model, &x_c, &mut state, v, dims.rnn_hidden_dim, mem, &mut cost)?;
+        push_rnn(model, &x_c, &mut state, v, mem, &mut cost)?;
         outputs.push(emit_output(&x_c, &state, perm.as_ref())?);
         costs.push(cost);
 
@@ -503,34 +503,6 @@ pub(crate) fn run(
         x0_prev = snap.features().clone();
     }
     Ok(ExecutionResult { outputs, costs })
-}
-
-fn push_rnn(
-    model: &DgnnModel,
-    z: &DenseMatrix,
-    state: &mut LstmState,
-    v: usize,
-    r_dim: usize,
-    mem: &MemoryModel,
-    cost: &mut SnapshotCost,
-) -> Result<()> {
-    let (a_pre, ops_a) = model.rnn_a(&state.h)?;
-    let state_bytes = 2 * dense_bytes(v, r_dim);
-    let rnn_spilled = !mem.fits(state_bytes + dense_bytes(v, z.cols()));
-    let mut ta = Traffic::none();
-    if rnn_spilled {
-        ta.read(DataClass::OutputFeature, dense_bytes(v, r_dim));
-    }
-    cost.push(Phase::RnnA, ops_a, ta);
-    let (next, ops_b) = model.rnn_b(z, &a_pre, state)?;
-    let mut tb = Traffic::none();
-    if rnn_spilled {
-        tb.read(DataClass::OutputFeature, dense_bytes(v, r_dim));
-        tb.write(DataClass::OutputFeature, state_bytes);
-    }
-    cost.push(Phase::RnnB, ops_b, tb);
-    *state = next;
-    Ok(())
 }
 
 #[cfg(test)]

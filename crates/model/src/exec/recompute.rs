@@ -6,7 +6,7 @@ use idgnn_sparse::OpStats;
 
 use crate::cost::{dense_bytes, DataClass, MemoryModel, Phase, SnapshotCost, Traffic};
 use crate::error::Result;
-use crate::exec::{ExecutionResult, SnapshotOutput};
+use crate::exec::{push_rnn, ExecutionResult, SnapshotOutput};
 use crate::lstm::LstmState;
 use crate::DgnnModel;
 
@@ -68,24 +68,7 @@ pub(crate) fn run(
         let z = layer_outs.last().expect("stack is non-empty").clone();
 
         // RNN over all vertices. State spills if it does not fit alongside Z.
-        let (a_pre, ops_a) = model.rnn_a(&state.h)?;
-        let state_bytes = 2 * dense_bytes(v, dims.rnn_hidden_dim);
-        let rnn_spilled = !mem.fits(state_bytes + dense_bytes(v, dims.gnn_out_dim));
-        let mut rnn_a_traffic = Traffic::none();
-        if rnn_spilled {
-            rnn_a_traffic.read(DataClass::OutputFeature, dense_bytes(v, dims.rnn_hidden_dim));
-        }
-        cost.push(Phase::RnnA, ops_a, rnn_a_traffic);
-
-        let (next_state, ops_b) = model.rnn_b(&z, &a_pre, &state)?;
-        let mut rnn_b_traffic = Traffic::none();
-        if rnn_spilled {
-            rnn_b_traffic.read(DataClass::OutputFeature, dense_bytes(v, dims.rnn_hidden_dim));
-            rnn_b_traffic.write(DataClass::OutputFeature, state_bytes);
-        }
-        cost.push(Phase::RnnB, ops_b, rnn_b_traffic);
-
-        state = next_state;
+        push_rnn(model, &z, &mut state, v, mem, &mut cost)?;
         outputs.push(SnapshotOutput { z, state: state.clone() });
         costs.push(cost);
     }

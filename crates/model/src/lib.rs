@@ -4,7 +4,8 @@
 //! (HPCA 2025):
 //!
 //! * [`GcnLayer`] / [`GcnStack`] — the GNN kernel (paper Eq. 3/5);
-//! * [`LstmCell`] — the RNN kernel with the RNN-A/RNN-B phase split
+//! * [`LstmCell`] / [`GruCell`] — the RNN kernels, each step one fused
+//!   row-blocked pass whose op counts keep the RNN-A/RNN-B phase split
 //!   (Eqs. 4, 16–17);
 //! * [`fusion`] — layer fusion `W_C = Π W_l`, `A_C = Â^L` (Eqs. 6–9);
 //! * [`onepass`] — the fused dissimilarity kernel `ΔA_C` with the
@@ -39,6 +40,7 @@
 //! ```
 
 mod activation;
+mod cell;
 mod dgnn;
 mod error;
 mod gcn;
@@ -53,10 +55,10 @@ pub mod onepass;
 
 pub use activation::Activation;
 pub use cost::{DataClass, MemoryModel, Phase, PhaseCost, SnapshotCost, Traffic, DATA_CLASSES};
-pub use dgnn::{DgnnModel, ModelConfig, ModelDims, RnnKernel, RnnKernelKind, RnnPrecomp};
+pub use dgnn::{DgnnModel, ModelConfig, ModelDims, RnnKernel, RnnKernelKind};
 pub use error::{ModelError, Result};
 pub use exec::{Algorithm, ExecutionResult, SnapshotOutput, ALL_ALGORITHMS};
 pub use gcn::{GcnLayer, GcnStack};
-pub use gru::{GruCell, GruPrecomp};
-pub use lstm::{Gate, LstmCell, LstmState, RnnAOutput, GATES};
+pub use gru::GruCell;
+pub use lstm::{Gate, LstmCell, LstmState, GATES};
 pub use onepass::{advance_power_chains, ChainAdvance, DissimilarityStrategy, PowerCache};

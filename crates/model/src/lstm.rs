@@ -1,15 +1,24 @@
-//! LSTM cell — the RNN kernel of the DGNN (paper Eq. 4), with the RNN-A /
-//! RNN-B phase split of §V-C (Eqs. 16–17).
+//! LSTM cell — the RNN kernel of the DGNN (paper Eq. 4).
 //!
 //! Row convention: a batch of `V` vertices is a `V × C` matrix `Z` (GNN
 //! outputs) and a `V × R` matrix `H` (hidden state), so gates compute as
 //! `Z·W_α + H·U_α` with `W_α : C × R` and `U_α : R × R`.
+//!
+//! The four gate pairs are stored concatenated (`W_cat : C × 4R`,
+//! `U_cat : R × 4R`) and a step runs as one fused row-blocked pass
+//! ([`crate::cell`], DESIGN.md §17): per row, both products, the
+//! sigmoid/tanh nonlinearities and the state update happen in L1-resident
+//! scratch, bit-identical to the unfused GEMM + element-wise formulation.
+//! The paper's RNN-A / RNN-B phase split of §V-C (Eqs. 16–17) survives as
+//! the two op counts [`LstmCell::step`] returns, which the executors charge
+//! to `Phase::RnnA` and `Phase::RnnB`.
 
-use idgnn_sparse::{ops, DenseMatrix, OpStats};
+use idgnn_sparse::{DenseMatrix, OpStats};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
-use crate::error::{ModelError, Result};
+use crate::cell;
+use crate::error::Result;
 
 /// The four LSTM gates, in the paper's order (input, forget, output, cell).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -28,55 +37,31 @@ pub enum Gate {
 pub const GATES: [Gate; 4] = [Gate::Input, Gate::Forget, Gate::Output, Gate::Cell];
 
 /// An LSTM cell with input weights `W_{i,f,o,c}` and hidden weights
-/// `U_{i,f,o,c}` (no biases, matching the paper's Eq. 4).
+/// `U_{i,f,o,c}` (no biases, matching the paper's Eq. 4), stored
+/// concatenated gate-major as `W_cat : C × 4R` and `U_cat : R × 4R`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LstmCell {
-    w: [DenseMatrix; 4],
-    u: [DenseMatrix; 4],
+    w_cat: DenseMatrix,
+    u_cat: DenseMatrix,
 }
 
 impl LstmCell {
-    /// Creates a cell from explicit weights (`w[g]: C × R`, `u[g]: R × R`).
+    /// Creates a cell from explicit weights (`w[g]: C × R`, `u[g]: R × R`,
+    /// gates in [`GATES`] order), with `C × R` taken from `w[0]`.
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::LayerDimensionMismatch`] if any weight has an
-    /// inconsistent shape.
+    /// Returns [`ModelError::RnnWeightShape`](crate::ModelError::RnnWeightShape)
+    /// naming the first weight whose shape is inconsistent.
     pub fn new(w: [DenseMatrix; 4], u: [DenseMatrix; 4]) -> Result<Self> {
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-        let r = w[0].cols();
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-        let c = w[0].rows();
-        for (i, m) in w.iter().enumerate() {
-            if m.shape() != (c, r) {
-                return Err(ModelError::LayerDimensionMismatch {
-                    layer: i,
-                    expected: r,
-                    got: m.cols(),
-                });
-            }
-        }
-        for (i, m) in u.iter().enumerate() {
-            if m.shape() != (r, r) {
-                return Err(ModelError::LayerDimensionMismatch {
-                    layer: i,
-                    expected: r,
-                    got: m.cols(),
-                });
-            }
-        }
-        Ok(Self { w, u })
+        let (w_cat, u_cat) = cell::validated_concat(&w, &u)?;
+        Ok(Self { w_cat, u_cat })
     }
 
     /// Creates a cell with small random weights, deterministic in `seed`.
     pub fn random(input_dim: usize, hidden_dim: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut mk = |rows: usize, cols: usize| {
-            let scale = 1.0 / (rows.max(1) as f32).sqrt();
-            let data = (0..rows * cols).map(|_| rng.gen_range(-scale..scale)).collect();
-            // lint: allow(panic-surface) -- invariant documented at the call site; grandfathered by the PR5 ratchet-to-zero
-            DenseMatrix::from_vec(rows, cols, data).expect("length matches")
-        };
+        let mut mk = |rows: usize, cols: usize| cell::random_matrix(&mut rng, rows, cols);
         let w = [
             mk(input_dim, hidden_dim),
             mk(input_dim, hidden_dim),
@@ -89,106 +74,117 @@ impl LstmCell {
             mk(hidden_dim, hidden_dim),
             mk(hidden_dim, hidden_dim),
         ];
-        Self { w, u }
+        Self { w_cat: cell::concat_gates(&w), u_cat: cell::concat_gates(&u) }
     }
 
     /// Input dimensionality `C` (GNN output width).
     pub fn input_dim(&self) -> usize {
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-        self.w[0].rows()
+        self.w_cat.rows()
     }
 
     /// Hidden dimensionality `R`.
     pub fn hidden_dim(&self) -> usize {
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-        self.w[0].cols()
+        self.u_cat.rows()
     }
 
-    /// Input weight of `gate` (`C × R`).
-    pub fn w(&self, gate: Gate) -> &DenseMatrix {
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-        &self.w[gate_index(gate)]
+    /// The concatenated input weights `W_cat = [W_i | W_f | W_o | W_c]`
+    /// (`C × 4R`).
+    pub fn w_cat(&self) -> &DenseMatrix {
+        &self.w_cat
     }
 
-    /// Hidden weight of `gate` (`R × R`).
-    pub fn u(&self, gate: Gate) -> &DenseMatrix {
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-        &self.u[gate_index(gate)]
+    /// The concatenated hidden weights `U_cat = [U_i | U_f | U_o | U_c]`
+    /// (`R × 4R`).
+    pub fn u_cat(&self) -> &DenseMatrix {
+        &self.u_cat
     }
 
-    /// **RNN-A** (paper Eq. 16): the GNN-independent half,
-    /// `A_α = H^{t-1} · U_α` for all four gates.
+    /// A copy of the input weight of `gate` (`C × R`).
+    pub fn w(&self, gate: Gate) -> DenseMatrix {
+        cell::gate_block(&self.w_cat, gate_index(gate), self.hidden_dim())
+    }
+
+    /// A copy of the hidden weight of `gate` (`R × R`).
+    pub fn u(&self, gate: Gate) -> DenseMatrix {
+        cell::gate_block(&self.u_cat, gate_index(gate), self.hidden_dim())
+    }
+
+    /// One LSTM step (paper Eq. 4) through the fused row kernel, returning
+    /// the next state and the op counts of the paper's two phases:
+    /// **RNN-A** (Eq. 16, the GNN-independent `H^{t-1}·U_α` products: 4
+    /// GEMMs) and **RNN-B** (Eq. 17, the `Z·W_α` products, the 4 gate adds
+    /// and the `f∘c + i∘c̃`, `o∘tanh(c)` epilogue: 3 mults + 1 add per
+    /// element). The split exists only in the accounting; the kernel
+    /// computes both halves in one pass per row.
     ///
     /// # Errors
     ///
-    /// Returns a shape error if `h_prev` has the wrong width.
-    pub fn rnn_a(&self, h_prev: &DenseMatrix) -> Result<(RnnAOutput, OpStats)> {
-        let mut ops = OpStats::default();
-        let mut outs = Vec::with_capacity(4);
-        for g in 0..4 {
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-            let (m, s) = ops::gemm_with_stats(h_prev, &self.u[g]).map_err(ModelError::from)?;
-            ops += s;
-            outs.push(m);
-        }
-        // lint: allow(panic-surface) -- invariant documented at the call site; grandfathered by the PR5 ratchet-to-zero
-        let [i, f, o, c] = <[DenseMatrix; 4]>::try_from(outs).expect("exactly four gates");
-        Ok((RnnAOutput { gates: [i, f, o, c] }, ops))
-    }
-
-    /// **RNN-B** (paper Eq. 17): consumes the GNN output `z` and the RNN-A
-    /// precomputation, producing the next state.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error on any dimension mismatch.
-    pub fn rnn_b(
+    /// Returns a shape error if `z` is not `V × C` or `prev` is not `V × R`.
+    pub fn step(
         &self,
         z: &DenseMatrix,
-        a: &RnnAOutput,
         prev: &LstmState,
-    ) -> Result<(LstmState, OpStats)> {
-        let mut ops = OpStats::default();
-        let mut pre = Vec::with_capacity(4);
-        for g in 0..4 {
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-            let (m, s) = ops::gemm_with_stats(z, &self.w[g]).map_err(ModelError::from)?;
-            ops += s;
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-            let summed = m.add(&a.gates[g]).map_err(ModelError::from)?;
-            ops.adds += summed.as_slice().len() as u64;
-            pre.push(summed);
-        }
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-        let i = pre[0].sigmoid();
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-        let f = pre[1].sigmoid();
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-        let o = pre[2].sigmoid();
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-        let c_cand = pre[3].tanh();
-
-        let fc = f.hadamard(&prev.c).map_err(ModelError::from)?;
-        let ic = i.hadamard(&c_cand).map_err(ModelError::from)?;
-        let c = fc.add(&ic).map_err(ModelError::from)?;
-        let h = o.hadamard(&c.tanh()).map_err(ModelError::from)?;
-        // Element-wise epilogue: 3 multiplies + 1 add per element (Eq. 4's
-        // f∘c + i∘c̃ and o∘tanh(c)).
-        let elems = h.as_slice().len() as u64;
-        ops.mults += 3 * elems;
-        ops.adds += elems;
-        Ok((LstmState { h, c }, ops))
+    ) -> Result<(LstmState, OpStats, OpStats)> {
+        let (v, c, r) = (z.rows(), self.input_dim(), self.hidden_dim());
+        cell::check_shape("lstm_step z", z, (v, c))?;
+        cell::check_shape("lstm_step h", &prev.h, (v, r))?;
+        cell::check_shape("lstm_step c", &prev.c, (v, r))?;
+        let mut next = LstmState::zeros(v, r);
+        let inputs = cell::StepInputs {
+            z,
+            h: &prev.h,
+            carried: &prev.c,
+            w_cat: &self.w_cat,
+            u_cat: &self.u_cat,
+        };
+        let LstmState { h, c: c_next } = &mut next;
+        cell::fused_rows(
+            &inputs,
+            [h.as_mut_slice(), c_next.as_mut_slice()],
+            |pre, h_part, c_prev, [h_out, c_out]| {
+                lstm_epilogue(pre, h_part, c_prev, h_out, c_out, r);
+            },
+        );
+        let elems = (v * r) as u64;
+        let ops_a = cell::gemm_ops(4, v, r, r);
+        // RNN-B: the Z·W_α GEMMs, 4 gate adds, then 3 mults + 1 add.
+        let ops_b = cell::gemm_ops(4, v, c, r) + OpStats::counted(3 * elems, 4 * elems + elems);
+        Ok((next, ops_a, ops_b))
     }
+}
 
-    /// Full step: RNN-A followed by RNN-B (convenience for reference paths).
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error on any dimension mismatch.
-    pub fn step(&self, z: &DenseMatrix, prev: &LstmState) -> Result<(LstmState, OpStats)> {
-        let (a, ops_a) = self.rnn_a(&prev.h)?;
-        let (state, ops_b) = self.rnn_b(z, &a, prev)?;
-        Ok((state, ops_a + ops_b))
+/// The LSTM epilogue for one row: `pre` holds `z·W_cat` and becomes the
+/// pre-activations `z-part + h-part`; then `c' = σ(f)∘c + σ(i)∘tanh(c̃)` and
+/// `h' = σ(o)∘tanh(c')`, in the unfused element-wise order. Each
+/// nonlinearity runs as its own tight pass over the L1-resident row, like
+/// the unfused whole-matrix passes did.
+#[inline]
+fn lstm_epilogue(
+    pre: &mut [f32],
+    h_part: &[f32],
+    c_prev: &[f32],
+    h_out: &mut [f32],
+    c_out: &mut [f32],
+    r: usize,
+) {
+    for (p, &hp) in pre.iter_mut().zip(h_part) {
+        *p += hp;
+    }
+    let (ifo, cand) = pre.split_at_mut(3 * r);
+    for p in ifo.iter_mut() {
+        *p = DenseMatrix::sigmoid_scalar(*p);
+    }
+    for p in cand.iter_mut() {
+        *p = p.tanh();
+    }
+    let [i, f, o] = cell::gates::<3>(ifo, r);
+    for (((c, &c_prev), &f), (&i, &cand)) in
+        c_out.iter_mut().zip(c_prev).zip(f).zip(i.iter().zip(cand.iter()))
+    {
+        *c = f * c_prev + i * cand;
+    }
+    for ((h, &c), &o) in h_out.iter_mut().zip(c_out.iter()).zip(o) {
+        *h = o * c.tanh();
     }
 }
 
@@ -198,20 +194,6 @@ fn gate_index(g: Gate) -> usize {
         Gate::Forget => 1,
         Gate::Output => 2,
         Gate::Cell => 3,
-    }
-}
-
-/// Output of the RNN-A phase: `H^{t-1} · U_α` for each gate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RnnAOutput {
-    gates: [DenseMatrix; 4],
-}
-
-impl RnnAOutput {
-    /// The precomputed matrix for `gate`.
-    pub fn gate(&self, gate: Gate) -> &DenseMatrix {
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-        &self.gates[gate_index(gate)]
     }
 }
 
@@ -244,6 +226,7 @@ impl LstmState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ModelError;
 
     fn cell() -> LstmCell {
         LstmCell::random(3, 2, 42)
@@ -256,6 +239,8 @@ mod tests {
         assert_eq!(c.hidden_dim(), 2);
         assert_eq!(c.w(Gate::Input).shape(), (3, 2));
         assert_eq!(c.u(Gate::Cell).shape(), (2, 2));
+        assert_eq!(c.w_cat().shape(), (3, 8));
+        assert_eq!(c.u_cat().shape(), (2, 8));
     }
 
     #[test]
@@ -265,15 +250,26 @@ mod tests {
     }
 
     #[test]
-    fn step_equals_split_phases() {
+    fn new_round_trips_gate_weights() {
         let c = cell();
+        let w = GATES.map(|g| c.w(g));
+        let u = GATES.map(|g| c.u(g));
+        assert_eq!(LstmCell::new(w, u).unwrap(), c);
+    }
+
+    #[test]
+    fn step_reports_closed_form_phase_ops() {
+        // RNN-A: 4 GEMMs V×R·R×R. RNN-B: 4 GEMMs V×C·C×R, 4·V·R gate adds,
+        // 3·V·R mults + V·R adds of the epilogue.
+        let c = cell();
+        let (v, cc, r) = (5u64, 3u64, 2u64);
         let z = DenseMatrix::filled(5, 3, 0.3);
-        let prev = LstmState::zeros(5, 2);
-        let (s1, ops1) = c.step(&z, &prev).unwrap();
-        let (a, oa) = c.rnn_a(&prev.h).unwrap();
-        let (s2, ob) = c.rnn_b(&z, &a, &prev).unwrap();
-        assert_eq!(s1, s2);
-        assert_eq!(ops1, oa + ob);
+        let (_, a, b) = c.step(&z, &LstmState::zeros(5, 2)).unwrap();
+        assert_eq!(a, OpStats::counted(4 * v * r * r, 4 * v * r * (r - 1)));
+        assert_eq!(
+            b,
+            OpStats::counted(4 * v * r * cc + 3 * v * r, 4 * v * r * (cc - 1) + 4 * v * r + v * r)
+        );
     }
 
     #[test]
@@ -282,7 +278,7 @@ mod tests {
         // c' = σ(0)·tanh(0) = 0 and h' = σ(0)·tanh(0) = 0.
         let c = cell();
         let z = DenseMatrix::zeros(4, 3);
-        let (s, _) = c.step(&z, &LstmState::zeros(4, 2)).unwrap();
+        let (s, ..) = c.step(&z, &LstmState::zeros(4, 2)).unwrap();
         assert!(s.h.approx_eq(&DenseMatrix::zeros(4, 2), 1e-6));
         assert!(s.c.approx_eq(&DenseMatrix::zeros(4, 2), 1e-6));
     }
@@ -294,8 +290,7 @@ mod tests {
         let z = DenseMatrix::filled(4, 3, 100.0);
         let mut state = LstmState::zeros(4, 2);
         for _ in 0..5 {
-            let (next, _) = c.step(&z, &state).unwrap();
-            state = next;
+            state = c.step(&z, &state).unwrap().0;
         }
         assert!(state.h.as_slice().iter().all(|v| v.abs() < 1.0));
     }
@@ -304,8 +299,8 @@ mod tests {
     fn state_depends_on_history() {
         let c = cell();
         let z = DenseMatrix::filled(4, 3, 0.5);
-        let (s1, _) = c.step(&z, &LstmState::zeros(4, 2)).unwrap();
-        let (s2, _) = c.step(&z, &s1).unwrap();
+        let (s1, ..) = c.step(&z, &LstmState::zeros(4, 2)).unwrap();
+        let (s2, ..) = c.step(&z, &s1).unwrap();
         assert!(!s1.h.approx_eq(&s2.h, 1e-6));
     }
 
@@ -314,6 +309,15 @@ mod tests {
         let c = cell();
         let z = DenseMatrix::zeros(4, 7); // wrong width
         assert!(c.step(&z, &LstmState::zeros(4, 2)).is_err());
+        let short = LstmState::zeros(3, 2); // wrong row count
+        assert!(c.step(&DenseMatrix::zeros(4, 3), &short).is_err());
+    }
+
+    #[test]
+    fn empty_batch_steps_to_empty_state() {
+        let (s, a, b) = cell().step(&DenseMatrix::zeros(0, 3), &LstmState::zeros(0, 2)).unwrap();
+        assert_eq!(s.num_vertices(), 0);
+        assert_eq!(a.total() + b.total(), 0);
     }
 
     #[test]
@@ -334,17 +338,49 @@ mod tests {
     }
 
     #[test]
+    fn row_mismatch_names_gate_and_shapes() {
+        // A (C+1)×R input weight: same column count, wrong row count.
+        let good = DenseMatrix::zeros(32, 32);
+        let tall = DenseMatrix::zeros(33, 32);
+        let err = LstmCell::new(
+            [good.clone(), good.clone(), tall, good.clone()],
+            [good.clone(), good.clone(), good.clone(), good],
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            ModelError::RnnWeightShape { gate: 2, weight: "W", expected: (32, 32), got: (33, 32) }
+        );
+        let msg = err.to_string();
+        assert!(msg.contains("gate 2") && msg.contains("33×32"), "{msg}");
+        assert!(msg.contains("32×32"), "{msg}");
+        assert!(!msg.contains("GCN"), "{msg}");
+    }
+
+    #[test]
+    fn column_mismatch_names_gate_and_shapes() {
+        let w = DenseMatrix::zeros(3, 2);
+        let u = DenseMatrix::zeros(2, 2);
+        let wide = DenseMatrix::zeros(2, 5);
+        let err = LstmCell::new(
+            [w.clone(), w.clone(), w.clone(), w],
+            [u.clone(), wide, u.clone(), u],
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            ModelError::RnnWeightShape { gate: 1, weight: "U", expected: (2, 2), got: (2, 5) }
+        );
+    }
+
+    #[test]
     fn rnn_ops_match_paper_scaling() {
-        // RNN-B op count should scale with V·(4·C·R + elementwise) — double V,
-        // double ops.
+        // RNN op counts scale with V — double V, double ops.
         let c = cell();
-        let z1 = DenseMatrix::zeros(4, 3);
-        let z2 = DenseMatrix::zeros(8, 3);
-        let (a1, _) = c.rnn_a(&LstmState::zeros(4, 2).h).unwrap();
-        let (a2, _) = c.rnn_a(&LstmState::zeros(8, 2).h).unwrap();
-        let (_, o1) = c.rnn_b(&z1, &a1, &LstmState::zeros(4, 2)).unwrap();
-        let (_, o2) = c.rnn_b(&z2, &a2, &LstmState::zeros(8, 2)).unwrap();
-        assert_eq!(o2.mults, 2 * o1.mults);
+        let (_, a1, b1) = c.step(&DenseMatrix::zeros(4, 3), &LstmState::zeros(4, 2)).unwrap();
+        let (_, a2, b2) = c.step(&DenseMatrix::zeros(8, 3), &LstmState::zeros(8, 2)).unwrap();
+        assert_eq!(a2.mults, 2 * a1.mults);
+        assert_eq!(b2.mults, 2 * b1.mults);
     }
 
     #[test]

@@ -352,7 +352,15 @@ impl DenseMatrix {
 
     /// Logistic sigmoid, applied element-wise.
     pub fn sigmoid(&self) -> DenseMatrix {
-        self.map(|v| 1.0 / (1.0 + (-v).exp()))
+        self.map(Self::sigmoid_scalar)
+    }
+
+    /// The logistic sigmoid `1 / (1 + e^(-x))` of one value: the function
+    /// [`DenseMatrix::sigmoid`] applies element-wise, shared with fused
+    /// kernels that must reproduce it bit for bit.
+    #[inline]
+    pub fn sigmoid_scalar(x: f32) -> f32 {
+        1.0 / (1.0 + (-x).exp())
     }
 
     /// Hyperbolic tangent, applied element-wise.

@@ -972,8 +972,16 @@ pub fn sp_pow_with_stats(a: &CsrMatrix, l: u32) -> Result<(CsrMatrix, OpStats)> 
 /// Returns [`SparseError::DimensionMismatch`] if `a.cols() != b.rows()`.
 pub fn gemm_with_stats(a: &DenseMatrix, b: &DenseMatrix) -> Result<(DenseMatrix, OpStats)> {
     let out = a.matmul(b)?;
-    let (m, n, k) = (a.rows() as u64, b.cols() as u64, a.cols() as u64);
-    Ok((out, OpStats::counted(m * n * k, m * n * k.saturating_sub(1))))
+    Ok((out, gemm_stats(a.rows(), a.cols(), b.cols())))
+}
+
+/// The exact op counts of an `m × k` by `k × n` dense product: `m·n·k`
+/// multiplies and `m·n·(k − 1)` accumulating adds — what
+/// [`gemm_with_stats`] reports, available without running the product (the
+/// fused RNN cell kernel charges its gate products through it).
+pub const fn gemm_stats(m: usize, k: usize, n: usize) -> OpStats {
+    let (m, n, k) = (m as u64, n as u64, k as u64);
+    OpStats::counted(m * n * k, m * n * k.saturating_sub(1))
 }
 
 #[cfg(test)]

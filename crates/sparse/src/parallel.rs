@@ -237,38 +237,49 @@ where
     out
 }
 
-/// Forks `ranges` onto scoped worker threads and joins the results in the
-/// declared range order.
+/// Forks one scoped worker per block descriptor (a row range, or a range
+/// paired with that block's disjoint output slices) and joins the results in
+/// the declared block order.
 ///
 /// # Panics
 ///
 /// Re-raises a worker panic on the calling thread.
 // lint: ordered-merge -- joins handles in declared block order, so results assemble independent of completion order
-fn fork_join<R, F>(ranges: Vec<Range<usize>>, f: F) -> Vec<R>
+fn fork_join<T, R, F>(blocks: Vec<T>, f: F) -> Vec<R>
 where
+    T: Send,
     R: Send,
-    F: Fn(Range<usize>) -> R + Sync,
+    F: Fn(T) -> R + Sync,
 {
     #[cfg(any(test, feature = "schedule-perturbation"))]
-    let gate = perturb::gate(ranges.len());
+    let gate = perturb::gate(blocks.len());
     std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
+        let handles: Vec<_> = blocks
             .into_iter()
             .enumerate()
-            .map(|(block, range)| {
+            .map(|(block, item)| {
                 let f = &f;
                 #[cfg(any(test, feature = "schedule-perturbation"))]
                 let gate = gate.as_ref();
                 scope.spawn(move || {
                     #[cfg(not(any(test, feature = "schedule-perturbation")))]
                     let _ = block;
-                    let result = f(range);
+                    #[cfg(not(any(test, feature = "schedule-perturbation")))]
+                    let result = f(item);
                     // Adversarial schedule: hold this block's completion until
                     // every block the seeded permutation ranks earlier is done.
+                    // A panicking block still takes its turn before
+                    // re-raising, or every block ranked after it would wait
+                    // forever and the join below would never return.
                     #[cfg(any(test, feature = "schedule-perturbation"))]
-                    if let Some(g) = gate {
-                        g.wait_turn(block);
-                    }
+                    let result = {
+                        let result =
+                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item)));
+                        if let Some(g) = gate {
+                            g.wait_turn(block);
+                        }
+                        result.unwrap_or_else(|e| std::panic::resume_unwind(e))
+                    };
                     result
                 })
             })
@@ -330,6 +341,54 @@ where
         return vec![f(0..items)];
     }
     fork_join(partition_by_cost(items, workers, cost), f)
+}
+
+/// Runs `f(rows, outs)` over contiguous row blocks of `N` row-major output
+/// buffers, handing each block the **disjoint** `&mut` sub-slices of every
+/// buffer that hold its rows, so a row kernel writes its results in place —
+/// no per-block result vector, no merge copy.
+///
+/// Each buffer is treated as `rows` rows of `buffer.len() / rows` elements
+/// (so buffers may differ in row width). Blocks are the uniform
+/// [`partition`] of `0..rows` over [`Parallelism::effective`] workers; with
+/// one effective worker `f` runs inline on the calling thread. Every element
+/// is written by exactly one block, so results are bit-identical at every
+/// worker count as long as `f` computes each row independently.
+///
+/// # Panics
+///
+/// Re-raises a worker panic on the calling thread.
+pub fn for_each_row_block_mut<T, F, const N: usize>(
+    rows: usize,
+    par: Parallelism,
+    outs: [&mut [T]; N],
+    f: F,
+) where
+    T: Send,
+    F: Fn(Range<usize>, [&mut [T]; N]) + Sync,
+{
+    let workers = par.effective(rows);
+    if workers <= 1 {
+        f(0..rows, outs);
+        return;
+    }
+    let widths = outs.each_ref().map(|o| o.len() / rows);
+    let ranges = partition(rows, workers);
+    let mut rest = outs;
+    // lint: allow(hot-path-alloc) -- one descriptor per block, O(workers) not O(rows)
+    let mut blocks = Vec::with_capacity(ranges.len());
+    for range in ranges {
+        let mut parts: [&mut [T]; N] = std::array::from_fn(|_| Default::default());
+        for ((part, tail), w) in parts.iter_mut().zip(rest.iter_mut()).zip(widths) {
+            // Blocks cover `rows` rows in order, so `len × w` never passes
+            // the end of the remaining buffer.
+            let (head, tail_rest) = std::mem::take(tail).split_at_mut(range.len() * w);
+            *part = head;
+            *tail = tail_rest;
+        }
+        blocks.push((range, parts));
+    }
+    fork_join(blocks, |(range, parts)| f(range, parts));
 }
 
 /// Runs `f(index, &item)` for every item on a scoped worker pool fed by an
@@ -710,5 +769,67 @@ mod tests {
             assert!(!r.contains(&9), "boom");
             r.len()
         });
+    }
+
+    #[test]
+    fn perturbed_worker_panics_propagate_without_deadlock() {
+        // A panicking block must still pass the turnstile, or the blocks the
+        // seeded order ranks after it wait forever.
+        for seed in 0..8u64 {
+            let _scope = perturb::scoped(seed);
+            let caught = std::panic::catch_unwind(|| {
+                map_blocks(8, Parallelism::new(4), |r| {
+                    assert!(!r.contains(&0), "boom");
+                    r.len()
+                })
+            });
+            assert!(caught.is_err(), "seed {seed}: the worker panic was swallowed");
+        }
+    }
+
+    /// Fills row `i` of a `width`-wide buffer with `i * 1000 + column`.
+    fn fill_rows(range: Range<usize>, buf: &mut [u32], width: usize) {
+        for (i, row) in range.zip(buf.chunks_exact_mut(width)) {
+            for (c, x) in row.iter_mut().enumerate() {
+                *x = (i * 1000 + c) as u32;
+            }
+        }
+    }
+
+    #[test]
+    fn row_block_mut_writes_every_row_exactly_once() {
+        for rows in [0usize, 1, 5, 128, 129] {
+            let mut want_a = vec![0u32; rows * 3];
+            let mut want_b = vec![0u32; rows * 2];
+            fill_rows(0..rows, &mut want_a, 3);
+            fill_rows(0..rows, &mut want_b, 2);
+            for threads in [1usize, 2, 3, 8] {
+                let mut a = vec![u32::MAX; rows * 3];
+                let mut b = vec![u32::MAX; rows * 2];
+                let par = Parallelism::new(threads);
+                for_each_row_block_mut(rows, par, [&mut a, &mut b], |r, [a, b]| {
+                    assert_eq!(a.len(), r.len() * 3, "block rows {r:?}");
+                    assert_eq!(b.len(), r.len() * 2, "block rows {r:?}");
+                    fill_rows(r.clone(), a, 3);
+                    fill_rows(r, b, 2);
+                });
+                assert_eq!(a, want_a, "rows {rows}, threads {threads}");
+                assert_eq!(b, want_b, "rows {rows}, threads {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn perturbed_row_block_mut_is_schedule_independent() {
+        let mut want = vec![0u32; 64 * 4];
+        fill_rows(0..64, &mut want, 4);
+        for seed in 0..8u64 {
+            let _scope = perturb::scoped(seed);
+            let mut got = vec![0u32; 64 * 4];
+            for_each_row_block_mut(64, Parallelism::new(4), [&mut got], |r, [buf]| {
+                fill_rows(r, buf, 4);
+            });
+            assert_eq!(got, want, "seed {seed}");
+        }
     }
 }

@@ -3,7 +3,8 @@
 #   scripts/ci.sh
 #
 # 1. release build of the whole workspace;
-# 2. full test suite (unit, integration, proptests, equivalence suites);
+# 2. full test suite (unit, integration, proptests, equivalence suites),
+#    then the fused RNN cell identity suite again at IDGNN_PARALLELISM=4;
 # 3. sparse suite again with strict-invariants (runtime CsrMatrix::validate
 #    re-asserted at every construction/splice/assemble site);
 # 4. sparse suite under schedule-perturbation: the parallel helpers run
@@ -29,6 +30,12 @@ cargo build --release
 
 echo "==> cargo test -q"
 cargo test -q --workspace
+
+echo "==> fused RNN cell identity (IDGNN_PARALLELISM=4)"
+# The fused LSTM/GRU step against the unfused GEMM + element-wise oracle,
+# bit for bit, with the process-default kernel parallelism at 4 so the
+# un-scoped model-level step also runs row-blocked (DESIGN.md §17).
+IDGNN_PARALLELISM=4 cargo test -q -p idgnn-model --test rnn_fused_identity
 
 echo "==> cargo test -p idgnn-sparse --features strict-invariants"
 cargo test -q -p idgnn-sparse --features strict-invariants
