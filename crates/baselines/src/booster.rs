@@ -8,13 +8,25 @@
 //! messages without the torus rotation's locality, and the two pipeline
 //! stages each own half of the compute fabric.
 
-use idgnn_core::{PipelineSchedule, SimReport};
+use idgnn_core::SimReport;
 use idgnn_graph::DynamicGraph;
-use idgnn_hw::{overlap_cycles, AcceleratorConfig, Engine, Topology, TrafficPattern};
-use idgnn_model::{exec, Algorithm, DgnnModel, MemoryModel, Phase};
+use idgnn_hw::{AcceleratorConfig, Engine, Topology, TrafficPattern};
+use idgnn_model::{Algorithm, DgnnModel};
 
-use crate::common::{assemble, gnn_onchip_volume, time_snapshot, PhasePolicy};
+use crate::common::{self, Baseline};
 use crate::error::Result;
+
+/// DGNN-Booster on the shared timing model.
+const BOOSTER: Baseline = Baseline {
+    algorithm: Algorithm::Recompute,
+    // Two pipeline stages, each with half the fabric.
+    workload_ratio_split: false,
+    // Message passing: vertex messages broadcast to neighbour lanes.
+    gnn_efficiency: 0.88,
+    gnn_noc_pattern: TrafficPattern::Broadcast,
+    // Snapshot-level pipeline: GNN(t+1) overlaps the whole RNN(t).
+    pipelined: true,
+};
 
 /// The DGNN-Booster baseline.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,56 +74,7 @@ impl Booster {
         dg: &DynamicGraph,
         parallelism: Option<usize>,
     ) -> Result<SimReport> {
-        let _kernel_scope = parallelism
-            .map(|n| idgnn_sparse::parallel::kernel_scope(idgnn_sparse::Parallelism::new(n)));
-        let mem = MemoryModel { onchip_bytes: self.engine.config().total_onchip_bytes() };
-        let result = exec::run(Algorithm::Recompute, model, dg, &mem)?;
-        // Two pipeline stages, each with half the fabric.
-        let schedule = PipelineSchedule::even();
-
-        let mut util = Vec::new();
-        let mut sims = Vec::with_capacity(result.costs.len());
-        for (t, cost) in result.costs.iter().enumerate() {
-            let volume = gnn_onchip_volume(model, dg, t)?;
-            let sim = time_snapshot(
-                &self.engine,
-                cost,
-                schedule,
-                |phase| match phase {
-                    Phase::AComb | Phase::Aggregation | Phase::Combination | Phase::WComb => {
-                        PhasePolicy {
-                            share: 0.5,
-                            efficiency: 0.88,
-                            noc_bytes: if phase == Phase::Aggregation { volume } else { 0 },
-                            // Message passing: vertex messages broadcast to
-                            // neighbour lanes.
-                            noc_pattern: TrafficPattern::Broadcast,
-                        }
-                    }
-                    Phase::RnnA | Phase::RnnB => PhasePolicy {
-                        share: 0.5,
-                        efficiency: 0.95,
-                        noc_bytes: 0,
-                        noc_pattern: TrafficPattern::GlobalBuffer,
-                    },
-                    _ => PhasePolicy {
-                        share: 1.0,
-                        efficiency: 1.0,
-                        noc_bytes: 0,
-                        noc_pattern: TrafficPattern::GlobalBuffer,
-                    },
-                },
-                &mut util,
-            );
-            sims.push(sim);
-        }
-        // Snapshot-level pipeline: GNN(t+1) overlaps the whole RNN(t).
-        let stages: Vec<(f64, f64)> = sims
-            .iter()
-            .map(|s| (s.frontend_cycles + s.gnn_cycles, s.rnn_a_cycles + s.rnn_b_cycles))
-            .collect();
-        let total = overlap_cycles(&stages);
-        Ok(assemble(sims, total, result.total_ops(), util))
+        common::simulate(&self.engine, &BOOSTER, model, dg, parallelism)
     }
 }
 

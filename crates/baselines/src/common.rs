@@ -2,187 +2,99 @@
 //!
 //! Per the paper's methodology (§VI-A "Baselines"), every baseline is scaled
 //! to the same number of multipliers, on-chip storage, frequency, and
-//! off-chip bandwidth as the I-DGNN instance it is compared against; the
-//! differences are the execution algorithm, the interconnect, the resource
-//! partitioning, and the pipeline granularity.
+//! off-chip bandwidth as the I-DGNN instance it is compared against, and is
+//! timed by the same [`time_snapshot`] model; the differences are the
+//! execution algorithm, the interconnect, the resource partitioning, and the
+//! pipeline granularity — exactly the fields of [`Baseline`].
 
-use idgnn_core::{SimReport, SnapshotSim};
+use idgnn_core::{time_snapshot, PhasePolicy, PipelineSchedule, SimReport, SnapshotSim};
 use idgnn_graph::DynamicGraph;
-use idgnn_hw::utilization::{trace, PhaseUtilization};
-use idgnn_hw::{
-    AccessPattern, EnergyBreakdown, Engine, PhaseWork, TrafficPattern,
-};
-use idgnn_model::{DgnnModel, Phase, SnapshotCost};
+use idgnn_hw::{overlap_cycles, Engine, TrafficPattern};
+use idgnn_model::{cost::dense_bytes, exec, Algorithm, DgnnModel, MemoryModel, Phase, PhaseCost};
 
 use crate::error::Result;
-use idgnn_core::PipelineSchedule;
 
-/// Per-phase policy of a baseline: MAC share, efficiency, NoC load.
-pub(crate) struct PhasePolicy {
-    /// MAC share granted to the phase.
-    pub share: f64,
-    /// Load-balance efficiency.
-    pub efficiency: f64,
-    /// NoC bytes attributed to the phase.
-    pub noc_bytes: u64,
-    /// NoC pattern.
-    pub noc_pattern: TrafficPattern,
+/// What distinguishes one baseline accelerator on the shared timing model.
+#[derive(Debug)]
+pub(crate) struct Baseline {
+    /// The execution algorithm the accelerator runs.
+    pub algorithm: Algorithm,
+    /// `true`: a static MAC split by the GNN/RNN workload ratio of the first
+    /// snapshot; `false`: a fixed 50/50 split.
+    pub workload_ratio_split: bool,
+    /// Parallel efficiency of the GNN kernel.
+    pub gnn_efficiency: f64,
+    /// NoC pattern of the aggregation traffic.
+    pub gnn_noc_pattern: TrafficPattern,
+    /// `true`: the RNN of snapshot `t` overlaps the GNN of snapshot `t+1`;
+    /// `false`: snapshots run back-to-back.
+    pub pipelined: bool,
 }
 
-/// Times every phase of one snapshot with a per-phase policy closure and
-/// accumulates a [`SnapshotSim`].
-pub(crate) fn time_snapshot(
+/// Runs `baseline`'s algorithm over the workload and times it on `engine`.
+/// `parallelism` pins the host-kernel thread count (`None` inherits the
+/// ambient selection; the report is bit-identical across settings).
+pub(crate) fn simulate(
     engine: &Engine,
-    cost: &SnapshotCost,
-    schedule: PipelineSchedule,
-    mut policy: impl FnMut(Phase) -> PhasePolicy,
-    util_phases: &mut Vec<PhaseUtilization>,
-) -> SnapshotSim {
-    let mut frontend = 0.0;
-    let mut gnn = 0.0;
-    let mut rnn_a = 0.0;
-    let mut rnn_b = 0.0;
-    let mut energy = EnergyBreakdown::default();
-    let mut dram = 0u64;
-    for pc in &cost.phases {
-        let p = policy(pc.phase);
-        let pattern = match pc.phase {
-            Phase::Diu | Phase::AComb | Phase::WComb => AccessPattern::Scattered,
-            _ => AccessPattern::Streaming,
-        };
-        let w = PhaseWork {
-            phase: pc.phase,
-            ops: pc.ops,
-            dram_read_bytes: pc.dram.total_reads(),
-            dram_write_bytes: pc.dram.total_writes(),
-            dram_pattern: pattern,
-            noc_bytes: p.noc_bytes,
-            noc_pattern: p.noc_pattern,
-            mac_share: p.share,
-            parallel_efficiency: p.efficiency,
-            reconfigure: false,
-        };
-        let timing = engine.phase_timing(&w);
-        let cycles = timing.total_cycles();
-        match pc.phase {
-            Phase::AComb | Phase::Aggregation | Phase::Combination => gnn += cycles,
-            Phase::RnnA => rnn_a += cycles,
-            Phase::RnnB => rnn_b += cycles,
-            _ => frontend += cycles,
+    baseline: &Baseline,
+    model: &DgnnModel,
+    dg: &DynamicGraph,
+    parallelism: Option<usize>,
+) -> Result<SimReport> {
+    let _kernel_scope = parallelism
+        .map(|n| idgnn_sparse::parallel::kernel_scope(idgnn_sparse::Parallelism::new(n)));
+    let mem = MemoryModel { onchip_bytes: engine.config().total_onchip_bytes() };
+    let result = exec::run(baseline.algorithm, model, dg, &mem)?;
+    let schedule = match result.costs.first() {
+        Some(first) if baseline.workload_ratio_split => {
+            let g0 = first.gnn_ops().mults.max(1) as f64;
+            let r0 = first.rnn_ops().mults.max(1) as f64;
+            PipelineSchedule::from_alpha(g0 / (g0 + r0))
         }
-        energy = energy + engine.phase_energy(&w);
-        dram += w.dram_bytes();
-        util_phases.push(PhaseUtilization {
-            timing,
-            mac_utilization: p.share * p.efficiency,
-            buffer_delta: (w.dram_bytes() as f64 / engine.config().glb_bytes as f64).min(0.35),
-        });
-    }
-    SnapshotSim {
-        frontend_cycles: frontend,
-        gnn_cycles: gnn,
-        rnn_a_cycles: rnn_a,
-        rnn_b_cycles: rnn_b,
-        energy,
-        dram_bytes: dram,
-        schedule,
-    }
-}
+        _ => PipelineSchedule::even(),
+    };
 
-/// Assembles the final report given per-snapshot sims and the pipelined
-/// total computed by the baseline's own overlap rule.
-pub(crate) fn assemble(
-    snapshots: Vec<SnapshotSim>,
-    total_cycles: f64,
-    ops: idgnn_sparse::OpStats,
-    util_phases: Vec<PhaseUtilization>,
-) -> SimReport {
-    let serial_cycles = snapshots.iter().map(SnapshotSim::serial_cycles).sum();
-    let energy = snapshots
-        .iter()
-        .fold(EnergyBreakdown::default(), |a, s| a + s.energy);
-    let dram_bytes = snapshots.iter().map(|s| s.dram_bytes).sum();
-    SimReport {
-        snapshots,
-        total_cycles,
-        serial_cycles,
-        energy,
-        dram_bytes,
-        ops,
-        utilization: trace(&util_phases, 16),
-    }
-}
-
-/// The aggregate data volume the GNN kernel moves on-chip for one snapshot:
-/// the operator plus the full input features — baseline dataflows lack the
-/// rotation locality, so this volume crosses the NoC with a non-local
-/// pattern.
-pub(crate) fn gnn_onchip_volume(model: &DgnnModel, dg: &DynamicGraph, t: usize) -> Result<u64> {
-    let snaps = dg.materialize()?;
-    // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-    let a = model.normalization().apply(snaps[t].adjacency());
-    let dims = model.dims();
-    // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-    Ok(a.csr_bytes() + 4 * (snaps[t].num_vertices() * dims.input_dim) as u64)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use idgnn_hw::AcceleratorConfig;
-    use idgnn_model::{cost::Traffic, Phase};
-    use idgnn_sparse::OpStats;
-
-    #[test]
-    fn time_snapshot_routes_phases_to_buckets() {
-        let engine = Engine::new(AcceleratorConfig::paper_default().scaled_down(64)).unwrap();
-        let mut cost = SnapshotCost::default();
-        cost.push(Phase::Diu, OpStats { mults: 100, adds: 100 }, Traffic::none());
-        cost.push(Phase::Aggregation, OpStats { mults: 1000, adds: 1000 }, Traffic::none());
-        cost.push(Phase::RnnA, OpStats { mults: 500, adds: 500 }, Traffic::none());
-        cost.push(Phase::RnnB, OpStats { mults: 700, adds: 700 }, Traffic::none());
-        let mut util = Vec::new();
-        let sim = time_snapshot(
-            &engine,
-            &cost,
-            PipelineSchedule::even(),
-            |_| PhasePolicy {
-                share: 1.0,
-                efficiency: 1.0,
-                noc_bytes: 0,
-                noc_pattern: TrafficPattern::Broadcast,
-            },
-            &mut util,
-        );
-        assert!(sim.frontend_cycles > 0.0);
-        assert!(sim.gnn_cycles > 0.0);
-        assert!(sim.rnn_a_cycles > 0.0);
-        assert!(sim.rnn_b_cycles > 0.0);
-        assert_eq!(util.len(), 4);
-        assert!(sim.serial_cycles() > 0.0);
+    let input_dim = model.dims().input_dim;
+    let glb_bytes = engine.config().glb_bytes as f64;
+    let mut util = Vec::new();
+    let mut snapshots = Vec::with_capacity(result.costs.len());
+    for (cost, op) in result.costs.iter().zip(&result.operators) {
+        // The operator plus the full input features: baseline dataflows lack
+        // the rotation locality, so this volume crosses the NoC with a
+        // non-local pattern during aggregation.
+        let gnn_volume = op.csr_bytes + dense_bytes(op.rows(), input_dim);
+        let policy = |_: usize, pc: &PhaseCost| {
+            let (mac_share, efficiency, noc_bytes, noc_pattern) = match pc.phase {
+                Phase::AComb | Phase::Aggregation | Phase::Combination | Phase::WComb => (
+                    schedule.alpha,
+                    baseline.gnn_efficiency,
+                    if pc.phase == Phase::Aggregation { gnn_volume } else { 0 },
+                    baseline.gnn_noc_pattern,
+                ),
+                Phase::RnnA | Phase::RnnB => (schedule.beta, 0.95, 0, TrafficPattern::GlobalBuffer),
+                _ => (1.0, 1.0, 0, TrafficPattern::GlobalBuffer),
+            };
+            PhasePolicy {
+                mac_share,
+                efficiency,
+                noc_bytes,
+                noc_pattern,
+                reconfigure: false,
+                mac_utilization: mac_share * efficiency,
+                buffer_delta: (pc.dram.total() as f64 / glb_bytes).min(0.35),
+            }
+        };
+        snapshots.push(time_snapshot(engine, cost, schedule, policy, &mut util));
     }
 
-    #[test]
-    fn assemble_sums_components() {
-        let engine = Engine::new(AcceleratorConfig::paper_default().scaled_down(64)).unwrap();
-        let mut cost = SnapshotCost::default();
-        cost.push(Phase::Aggregation, OpStats { mults: 100, adds: 100 }, Traffic::none());
-        let mut util = Vec::new();
-        let sim = time_snapshot(
-            &engine,
-            &cost,
-            PipelineSchedule::even(),
-            |_| PhasePolicy {
-                share: 0.5,
-                efficiency: 1.0,
-                noc_bytes: 0,
-                noc_pattern: TrafficPattern::Broadcast,
-            },
-            &mut util,
-        );
-        let report = assemble(vec![sim.clone(), sim], 123.0, OpStats::default(), util);
-        assert_eq!(report.total_cycles, 123.0);
-        assert_eq!(report.snapshots.len(), 2);
-        assert!(report.serial_cycles > 0.0);
-    }
+    let total_cycles = if baseline.pipelined {
+        let stages: Vec<(f64, f64)> = snapshots
+            .iter()
+            .map(|s| (s.frontend_cycles + s.gnn_cycles, s.rnn_a_cycles + s.rnn_b_cycles))
+            .collect();
+        overlap_cycles(&stages)
+    } else {
+        snapshots.iter().map(SnapshotSim::serial_cycles).sum()
+    };
+    Ok(SimReport::assemble(snapshots, total_cycles, result.total_ops(), &util))
 }

@@ -10,13 +10,25 @@
 //! writes/reads the intermediate features of both snapshots through DRAM —
 //! over 60 % of its DRAM volume (§VI-D).
 
-use idgnn_core::{PipelineSchedule, SimReport};
+use idgnn_core::SimReport;
 use idgnn_graph::DynamicGraph;
-use idgnn_hw::{overlap_cycles, AcceleratorConfig, Engine, Topology, TrafficPattern};
-use idgnn_model::{exec, Algorithm, DgnnModel, MemoryModel, Phase};
+use idgnn_hw::{AcceleratorConfig, Engine, Topology, TrafficPattern};
+use idgnn_model::{Algorithm, DgnnModel};
 
-use crate::common::{assemble, gnn_onchip_volume, time_snapshot, PhasePolicy};
+use crate::common::{self, Baseline};
 use crate::error::Result;
+
+/// RACE on the shared timing model.
+const RACE: Baseline = Baseline {
+    algorithm: Algorithm::Incremental,
+    // Hard engine split: half the chip each, regardless of workload.
+    workload_ratio_split: false,
+    gnn_efficiency: 0.85,
+    gnn_noc_pattern: TrafficPattern::AllToAll,
+    // Engine-level pipeline: the RNN engine processes snapshot t while the
+    // GNN engine works on t+1.
+    pipelined: true,
+};
 
 /// The RACE baseline.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,55 +76,7 @@ impl Race {
         dg: &DynamicGraph,
         parallelism: Option<usize>,
     ) -> Result<SimReport> {
-        let _kernel_scope = parallelism
-            .map(|n| idgnn_sparse::parallel::kernel_scope(idgnn_sparse::Parallelism::new(n)));
-        let mem = MemoryModel { onchip_bytes: self.engine.config().total_onchip_bytes() };
-        let result = exec::run(Algorithm::Incremental, model, dg, &mem)?;
-        // Hard engine split: half the chip each, regardless of workload.
-        let schedule = PipelineSchedule::even();
-
-        let mut util = Vec::new();
-        let mut sims = Vec::with_capacity(result.costs.len());
-        for (t, cost) in result.costs.iter().enumerate() {
-            let volume = gnn_onchip_volume(model, dg, t)?;
-            let sim = time_snapshot(
-                &self.engine,
-                cost,
-                schedule,
-                |phase| match phase {
-                    Phase::AComb | Phase::Aggregation | Phase::Combination | Phase::WComb => {
-                        PhasePolicy {
-                            share: 0.5,
-                            efficiency: 0.85,
-                            noc_bytes: if phase == Phase::Aggregation { volume } else { 0 },
-                            noc_pattern: TrafficPattern::AllToAll,
-                        }
-                    }
-                    Phase::RnnA | Phase::RnnB => PhasePolicy {
-                        share: 0.5,
-                        efficiency: 0.95,
-                        noc_bytes: 0,
-                        noc_pattern: TrafficPattern::GlobalBuffer,
-                    },
-                    _ => PhasePolicy {
-                        share: 1.0,
-                        efficiency: 1.0,
-                        noc_bytes: 0,
-                        noc_pattern: TrafficPattern::GlobalBuffer,
-                    },
-                },
-                &mut util,
-            );
-            sims.push(sim);
-        }
-        // Engine-level pipeline: the RNN engine processes snapshot t while
-        // the GNN engine works on t+1.
-        let stages: Vec<(f64, f64)> = sims
-            .iter()
-            .map(|s| (s.frontend_cycles + s.gnn_cycles, s.rnn_a_cycles + s.rnn_b_cycles))
-            .collect();
-        let total = overlap_cycles(&stages);
-        Ok(assemble(sims, total, result.total_ops(), util))
+        common::simulate(&self.engine, &RACE, model, dg, parallelism)
     }
 }
 

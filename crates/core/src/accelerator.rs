@@ -1,23 +1,24 @@
 //! The complete I-DGNN accelerator simulation.
 //!
 //! Orchestration follows the paper's Fig. 6/8: the functional executors of
-//! `idgnn-model` supply exact per-phase operation counts and DRAM volumes;
-//! this module adds the architecture — MAC partitioning from the analytical
-//! scheduler (Eqs. 16–22), torus-rotation NoC traffic from the dataflow
-//! (Fig. 9), per-phase timing/energy from the `idgnn-hw` engine, and the
+//! `idgnn-model` supply exact per-phase operation counts and DRAM volumes
+//! plus the structural facts of every snapshot's operator; this module adds
+//! the architecture — MAC partitioning from the analytical scheduler
+//! (Eqs. 16–22), torus-rotation NoC traffic from the dataflow (Fig. 9),
+//! per-phase timing/energy from the shared [`time_snapshot`] model, and the
 //! GNN(t) ∥ RNN-A(t−1) pipeline overlap (Fig. 8).
 
 use idgnn_graph::DynamicGraph;
-use idgnn_hw::utilization::{trace, PhaseUtilization, UtilizationTrace};
-use idgnn_hw::{
-    AcceleratorConfig, AccessPattern, EnergyBreakdown, Engine, PhaseWork, TrafficPattern,
+use idgnn_hw::utilization::PhaseUtilization;
+use idgnn_hw::{overlap_cycles, AcceleratorConfig, Engine, TrafficPattern};
+use idgnn_model::exec::{OnePassOptions, OperatorFacts};
+use idgnn_model::{
+    cost::dense_bytes, exec, Algorithm, DgnnModel, MemoryModel, Phase, PhaseCost, SnapshotCost,
 };
-use idgnn_model::exec::OnePassOptions;
-use idgnn_model::{cost::dense_bytes, exec, Algorithm, DgnnModel, MemoryModel, Phase, SnapshotCost};
-use idgnn_sparse::OpStats;
 
 use crate::dataflow::TorusDataflow;
 use crate::error::Result;
+use crate::timing::{time_snapshot, PhasePolicy, SimReport, SnapshotSim};
 use idgnn_hw::PipelineSchedule;
 
 /// Scheduler policy (ablation D2 in DESIGN.md).
@@ -62,55 +63,45 @@ pub struct SimOptions {
     pub parallelism: Option<usize>,
 }
 
-/// Per-snapshot simulation outcome.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SnapshotSim {
-    /// Frontend (DIU / WComb) latency, cycles.
-    pub frontend_cycles: f64,
-    /// GNN-kernel latency (AComb + AG + CB), cycles.
-    pub gnn_cycles: f64,
-    /// RNN-A latency, cycles.
-    pub rnn_a_cycles: f64,
-    /// RNN-B latency, cycles.
-    pub rnn_b_cycles: f64,
-    /// Energy of this snapshot.
-    pub energy: EnergyBreakdown,
-    /// DRAM bytes moved.
-    pub dram_bytes: u64,
-    /// The MAC partition used.
-    pub schedule: PipelineSchedule,
+/// The per-snapshot inputs of the I-DGNN phase policy; the MAC partition is
+/// supplied per call so the scheduler can evaluate candidate splits.
+struct SnapshotPolicy {
+    /// MAC share of the DIU, a dedicated few-words-per-cycle frontend unit.
+    diu_share: f64,
+    /// Load-balance efficiency of the partitioned operator.
+    balance: f64,
+    /// NoC bytes of each aggregation phase.
+    agg_noc_bytes: u64,
+    noc_pattern: TrafficPattern,
+    /// Whether the RNN lane of snapshot t−1 runs alongside this GNN (Fig. 8).
+    overlapped: bool,
+    /// Buffer-occupancy change credited to each phase.
+    buffer_delta: f64,
 }
 
-impl SnapshotSim {
-    /// Latency with no cross-kernel overlap.
-    pub fn serial_cycles(&self) -> f64 {
-        self.frontend_cycles + self.gnn_cycles + self.rnn_a_cycles + self.rnn_b_cycles
-    }
-}
-
-/// Whole-run simulation report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimReport {
-    /// Per-snapshot breakdowns.
-    pub snapshots: Vec<SnapshotSim>,
-    /// End-to-end latency with the Fig. 8 pipeline, cycles.
-    pub total_cycles: f64,
-    /// End-to-end latency without cross-kernel overlap, cycles.
-    pub serial_cycles: f64,
-    /// Total energy.
-    pub energy: EnergyBreakdown,
-    /// Total DRAM traffic, bytes.
-    pub dram_bytes: u64,
-    /// Total arithmetic operations executed.
-    pub ops: OpStats,
-    /// MAC/buffer utilization trace (Fig. 18), 16-cycle buckets.
-    pub utilization: UtilizationTrace,
-}
-
-impl SimReport {
-    /// Wall-clock seconds at `frequency_hz`.
-    pub fn seconds(&self, frequency_hz: u64) -> f64 {
-        self.total_cycles / frequency_hz as f64
+impl SnapshotPolicy {
+    fn phase(&self, schedule: PipelineSchedule, i: usize, pc: &PhaseCost) -> PhasePolicy {
+        let (mac_share, efficiency) = match pc.phase {
+            Phase::Diu => (self.diu_share, 1.0),
+            Phase::AComb | Phase::Aggregation => (schedule.alpha, self.balance),
+            Phase::Combination => (schedule.alpha, 0.98),
+            Phase::RnnA | Phase::RnnB => (schedule.beta, 0.98),
+            _ => (1.0, 1.0),
+        };
+        // The utilization trace credits the concurrent RNN lane to the GNN
+        // phases it overlaps.
+        let concurrent =
+            if self.overlapped && pc.phase.is_gnn() { schedule.beta * 0.95 } else { 0.0 };
+        PhasePolicy {
+            mac_share,
+            efficiency,
+            noc_bytes: if pc.phase == Phase::Aggregation { self.agg_noc_bytes } else { 0 },
+            noc_pattern: self.noc_pattern,
+            // Datapath reconfiguration at the start of each kernel group.
+            reconfigure: matches!(pc.phase, Phase::AComb | Phase::RnnA) && i > 0,
+            mac_utilization: (mac_share * efficiency + concurrent).min(1.0),
+            buffer_delta: self.buffer_delta,
+        }
     }
 }
 
@@ -169,116 +160,102 @@ impl IdgnnAccelerator {
         });
         let config = self.engine.config();
         let mem = MemoryModel { onchip_bytes: config.total_onchip_bytes() };
-        let algorithm = opts.algorithm.unwrap_or(Algorithm::OnePass);
-        let result = match algorithm {
+        let result = match opts.algorithm.unwrap_or(Algorithm::OnePass) {
             Algorithm::OnePass => exec::run_onepass_with(model, dg, &mem, &opts.onepass)?,
             other => exec::run(other, model, dg, &mem)?,
         };
 
-        let dataflow = TorusDataflow::new(config.num_pes());
-        let snaps = dg.materialize()?;
-        let dims = model.dims();
-        let v = dg.initial().num_vertices();
-
-        let mut report_snapshots = Vec::with_capacity(result.costs.len());
+        let mut snapshots = Vec::with_capacity(result.costs.len());
         let mut util_phases = Vec::new();
-        let mut energy = EnergyBreakdown::default();
-        let mut dram_total = 0u64;
-        let mut stage_pairs = Vec::with_capacity(result.costs.len());
-
-        for (t, cost) in result.costs.iter().enumerate() {
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-            let a_norm = model.normalization().apply(snaps[t].adjacency());
-            let balance = dataflow.load_balance(&a_norm);
-
-            // Rotation traffic: the distributed working set makes a full
-            // ring pass per GNN kernel invocation. For the one-pass
-            // algorithm in steady state the operator and dense caches are
-            // resident at their home PEs — only the delta-receptive working
-            // set (ΔA-anchored partial products and touched dense rows)
-            // rotates; the other algorithms re-stream everything.
-            let rotated_bytes = if algorithm == Algorithm::OnePass && t > 0 {
-                // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-                let prev = model.normalization().apply(snaps[t - 1].adjacency());
-                let d_op = idgnn_sparse::ops::sp_sub(&a_norm, &prev)
-                    .map_err(idgnn_model::ModelError::from)?
-                    .pruned(0.0);
-                let seed_rows = (0..v).filter(|&r| d_op.row_nnz(r) > 0).count();
-                let mean_deg = (a_norm.nnz() as f64 / v.max(1) as f64).max(1.0);
-                let touched = ((seed_rows as f64)
-                    * mean_deg.powi(dims.gnn_layers.saturating_sub(1) as i32))
-                .min(v as f64) as usize;
-                dims.gnn_layers as u64 * d_op.csr_bytes()
-                    + dense_bytes(touched, dims.gnn_out_dim)
-            } else {
-                a_norm.csr_bytes() + dense_bytes(v, dims.input_dim)
-            };
-            let (noc_bytes, noc_pattern) = match opts.dataflow {
-                DataflowPolicy::Rotation => {
-                    (dataflow.rotation_bytes(rotated_bytes), TrafficPattern::NeighborShift)
-                }
-                DataflowPolicy::Broadcast => (
-                    rotated_bytes.saturating_mul(config.num_pes() as u64),
-                    TrafficPattern::Broadcast,
-                ),
-            };
-
-            // Buffer-occupancy bookkeeping for the Fig. 18 trace: the first
-            // snapshot materializes the resident working set; later
-            // snapshots only add their (small) delta structures.
-            let resident_bytes = a_norm.csr_bytes()
-                + dense_bytes(v, dims.input_dim)
-                + 2 * dense_bytes(v, dims.gnn_out_dim)
-                + 2 * dense_bytes(v, dims.rnn_hidden_dim)
-                + model.weight_bytes();
-            let occupancy_delta = if t == 0 {
-                (resident_bytes as f64 / config.total_onchip_bytes() as f64).min(1.0)
-            } else {
-                (cost.total_dram().total() as f64 / config.total_onchip_bytes() as f64).min(0.05)
-            };
-
-            let schedule =
-                self.schedule_for(opts, cost, balance, noc_bytes, noc_pattern);
-            // In steady state the RNN lane works on snapshot t−1's RNN-A
-            // while the GNN lane runs snapshot t (Fig. 8) — the utilization
-            // trace credits the concurrent lane.
-            let overlap_util = if !opts.disable_pipeline && t > 0 { schedule.beta * 0.95 } else { 0.0 };
-            let sim = self.time_snapshot_traced(
+        for (t, (cost, op)) in result.costs.iter().zip(&result.operators).enumerate() {
+            let policy = self.snapshot_policy(model, opts, t, cost, op);
+            let schedule = self.schedule_for(opts.scheduler, cost, &policy);
+            snapshots.push(time_snapshot(
+                &self.engine,
                 cost,
                 schedule,
-                balance,
-                noc_bytes,
-                noc_pattern,
-                occupancy_delta,
-                overlap_util,
+                |i, pc| policy.phase(schedule, i, pc),
                 &mut util_phases,
-            );
-            energy = energy + sim.energy;
-            dram_total += sim.dram_bytes;
-            stage_pairs.push((
-                sim.frontend_cycles + sim.gnn_cycles + sim.rnn_b_cycles,
-                sim.rnn_a_cycles,
             ));
-            report_snapshots.push(sim);
         }
 
-        let serial_cycles: f64 = report_snapshots.iter().map(SnapshotSim::serial_cycles).sum();
         let total_cycles = if opts.disable_pipeline {
-            serial_cycles
+            snapshots.iter().map(SnapshotSim::serial_cycles).sum()
         } else {
             // Fig. 8: RNN-A(t) overlaps the front of snapshot t+1.
-            idgnn_hw::overlap_cycles(&stage_pairs)
+            let stages: Vec<(f64, f64)> = snapshots
+                .iter()
+                .map(|s| (s.frontend_cycles + s.gnn_cycles + s.rnn_b_cycles, s.rnn_a_cycles))
+                .collect();
+            overlap_cycles(&stages)
+        };
+        Ok(SimReport::assemble(snapshots, total_cycles, result.total_ops(), &util_phases))
+    }
+
+    /// The phase policy of snapshot `t` from its cost and operator facts.
+    fn snapshot_policy(
+        &self,
+        model: &DgnnModel,
+        opts: &SimOptions,
+        t: usize,
+        cost: &SnapshotCost,
+        op: &OperatorFacts,
+    ) -> SnapshotPolicy {
+        let config = self.engine.config();
+        let dataflow = TorusDataflow::new(config.num_pes());
+        let dims = model.dims();
+        let v = op.rows();
+        // Rotation traffic: the distributed working set makes a full ring
+        // pass per GNN kernel invocation. For the one-pass algorithm in
+        // steady state (the executor recorded ΔÂ) the operator and dense
+        // caches are resident at their home PEs — only the delta-receptive
+        // working set (ΔA-anchored partial products and touched dense rows)
+        // rotates; the other algorithms re-stream everything.
+        let rotated_bytes = match op.delta {
+            Some(delta) => {
+                let mean_deg = (op.nnz() as f64 / v.max(1) as f64).max(1.0);
+                let touched = ((delta.nonempty_rows as f64)
+                    * mean_deg.powi(dims.gnn_layers.saturating_sub(1) as i32))
+                .min(v as f64) as usize;
+                dims.gnn_layers as u64 * delta.csr_bytes + dense_bytes(touched, dims.gnn_out_dim)
+            }
+            None => op.csr_bytes + dense_bytes(v, dims.input_dim),
+        };
+        let (noc_bytes, noc_pattern) = match opts.dataflow {
+            DataflowPolicy::Rotation => {
+                (dataflow.rotation_bytes(rotated_bytes), TrafficPattern::NeighborShift)
+            }
+            DataflowPolicy::Broadcast => (
+                rotated_bytes.saturating_mul(config.num_pes() as u64),
+                TrafficPattern::Broadcast,
+            ),
+        };
+        // Attribute the rotation traffic to the aggregation phases.
+        let agg_phases =
+            cost.phases.iter().filter(|p| p.phase == Phase::Aggregation).count().max(1) as u64;
+
+        // Buffer-occupancy bookkeeping for the Fig. 18 trace: the first
+        // snapshot materializes the resident working set; later snapshots
+        // only add their (small) delta structures.
+        let resident_bytes = op.csr_bytes
+            + dense_bytes(v, dims.input_dim)
+            + 2 * dense_bytes(v, dims.gnn_out_dim)
+            + 2 * dense_bytes(v, dims.rnn_hidden_dim)
+            + model.weight_bytes();
+        let occupancy_delta = if t == 0 {
+            (resident_bytes as f64 / config.total_onchip_bytes() as f64).min(1.0)
+        } else {
+            (cost.total_dram().total() as f64 / config.total_onchip_bytes() as f64).min(0.05)
         };
 
-        Ok(SimReport {
-            snapshots: report_snapshots,
-            total_cycles,
-            serial_cycles,
-            energy,
-            dram_bytes: dram_total,
-            ops: result.total_ops(),
-            utilization: trace(&util_phases, 16),
-        })
+        SnapshotPolicy {
+            diu_share: (4.0 / config.total_macs() as f64).min(1.0),
+            balance: dataflow.load_balance(&op.indptr),
+            agg_noc_bytes: noc_bytes / agg_phases,
+            noc_pattern,
+            overlapped: !opts.disable_pipeline && t > 0,
+            buffer_delta: occupancy_delta / cost.phases.len().max(1) as f64,
+        }
     }
 
     /// Solves the scheduler's balancing objective for one snapshot. The
@@ -290,28 +267,26 @@ impl IdgnnAccelerator {
     /// candidate, so the dynamic schedule never loses to it).
     fn schedule_for(
         &self,
-        opts: &SimOptions,
+        scheduler: SchedulerPolicy,
         cost: &SnapshotCost,
-        balance: f64,
-        noc_bytes: u64,
-        noc_pattern: TrafficPattern,
+        policy: &SnapshotPolicy,
     ) -> PipelineSchedule {
-        match opts.scheduler {
+        match scheduler {
             SchedulerPolicy::Even => PipelineSchedule::even(),
             SchedulerPolicy::Analytical => {
                 let g = cost.gnn_ops().mults.max(cost.gnn_ops().adds) as f64;
                 let r = cost.rnn_ops().mults.max(cost.rnn_ops().adds) as f64;
                 let seed = if g + r == 0.0 { 0.5 } else { g / (g + r) };
                 let mut best = (f64::INFINITY, PipelineSchedule::even());
+                let mut scratch: Vec<PhaseUtilization> = Vec::new();
                 for alpha in [seed, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9] {
                     let candidate = PipelineSchedule::from_alpha(alpha);
-                    let mut scratch = Vec::new();
-                    let sim = self.time_snapshot(
+                    scratch.clear();
+                    let sim = time_snapshot(
+                        &self.engine,
                         cost,
                         candidate,
-                        balance,
-                        noc_bytes,
-                        noc_pattern,
+                        |i, pc| policy.phase(candidate, i, pc),
                         &mut scratch,
                     );
                     // Pipelined contribution of this snapshot (Fig. 8): the
@@ -325,113 +300,6 @@ impl IdgnnAccelerator {
                 }
                 best.1
             }
-        }
-    }
-
-    fn time_snapshot(
-        &self,
-        cost: &SnapshotCost,
-        schedule: PipelineSchedule,
-        balance: f64,
-        gnn_noc_bytes: u64,
-        noc_pattern: TrafficPattern,
-        util_phases: &mut Vec<PhaseUtilization>,
-    ) -> SnapshotSim {
-        self.time_snapshot_traced(
-            cost,
-            schedule,
-            balance,
-            gnn_noc_bytes,
-            noc_pattern,
-            0.0,
-            0.0,
-            util_phases,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn time_snapshot_traced(
-        &self,
-        cost: &SnapshotCost,
-        schedule: PipelineSchedule,
-        balance: f64,
-        gnn_noc_bytes: u64,
-        noc_pattern: TrafficPattern,
-        occupancy_delta: f64,
-        overlap_util: f64,
-        util_phases: &mut Vec<PhaseUtilization>,
-    ) -> SnapshotSim {
-        let config = self.engine.config();
-        let mut frontend = 0.0;
-        let mut gnn = 0.0;
-        let mut rnn_a = 0.0;
-        let mut rnn_b = 0.0;
-        let mut energy = EnergyBreakdown::default();
-        let mut dram = 0u64;
-        // Attribute the rotation traffic to the aggregation phases.
-        let agg_phases = cost
-            .phases
-            .iter()
-            .filter(|p| p.phase == Phase::Aggregation)
-            .count()
-            .max(1) as u64;
-
-        for (i, pc) in cost.phases.iter().enumerate() {
-            // The DIU is a dedicated frontend unit, not the MAC array: its
-            // structure comparisons and CSR maintenance run at a fixed
-            // few-words-per-cycle throughput.
-            let diu_share = (4.0 / config.total_macs() as f64).min(1.0);
-            let (share, efficiency, pattern) = match pc.phase {
-                Phase::Diu => (diu_share, 1.0, AccessPattern::Scattered),
-                Phase::WComb => (1.0, 1.0, AccessPattern::Scattered),
-                Phase::AComb => (schedule.alpha, balance, AccessPattern::Scattered),
-                Phase::Aggregation => (schedule.alpha, balance, AccessPattern::Streaming),
-                Phase::Combination => (schedule.alpha, 0.98, AccessPattern::Streaming),
-                Phase::RnnA | Phase::RnnB => (schedule.beta, 0.98, AccessPattern::Streaming),
-                _ => (1.0, 1.0, AccessPattern::Streaming),
-            };
-            let w = PhaseWork {
-                phase: pc.phase,
-                ops: pc.ops,
-                dram_read_bytes: pc.dram.total_reads(),
-                dram_write_bytes: pc.dram.total_writes(),
-                dram_pattern: pattern,
-                noc_bytes: if pc.phase == Phase::Aggregation {
-                    gnn_noc_bytes / agg_phases
-                } else {
-                    0
-                },
-                noc_pattern,
-                mac_share: share,
-                parallel_efficiency: efficiency,
-                // Datapath reconfiguration at the start of each kernel group.
-                reconfigure: matches!(pc.phase, Phase::AComb | Phase::RnnA) && i > 0,
-            };
-            let timing = self.engine.phase_timing(&w);
-            let cycles = timing.total_cycles();
-            match pc.phase {
-                Phase::AComb | Phase::Aggregation | Phase::Combination => gnn += cycles,
-                Phase::RnnA => rnn_a += cycles,
-                Phase::RnnB => rnn_b += cycles,
-                _ => frontend += cycles,
-            }
-            energy = energy + self.engine.phase_energy(&w);
-            dram += w.dram_bytes();
-            let concurrent = if pc.phase.is_gnn() { overlap_util } else { 0.0 };
-            util_phases.push(PhaseUtilization {
-                timing,
-                mac_utilization: (share * efficiency + concurrent).min(1.0),
-                buffer_delta: occupancy_delta / cost.phases.len().max(1) as f64,
-            });
-        }
-        SnapshotSim {
-            frontend_cycles: frontend,
-            gnn_cycles: gnn,
-            rnn_a_cycles: rnn_a,
-            rnn_b_cycles: rnn_b,
-            energy,
-            dram_bytes: dram,
-            schedule,
         }
     }
 }

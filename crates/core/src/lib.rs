@@ -11,7 +11,12 @@
 //!   with in-place inter-kernel consumption (Fig. 9);
 //! * [`IdgnnAccelerator`] — the full-system simulation combining the exact
 //!   functional costs from `idgnn-model` with the hardware models of
-//!   `idgnn-hw`, including the Fig. 8 pipeline overlap.
+//!   `idgnn-hw`, including the Fig. 8 pipeline overlap;
+//! * [`time_snapshot`] / [`SimReport::assemble`] — the timing model shared
+//!   with the baseline accelerators: each simulator supplies only its
+//!   per-phase [`PhasePolicy`] and its pipeline rule, and reads the graph
+//!   only through the executor's per-snapshot
+//!   [`OperatorFacts`](idgnn_model::exec::OperatorFacts).
 //!
 //! ## Example
 //!
@@ -39,13 +44,13 @@ mod accelerator;
 mod dataflow;
 mod diu;
 mod error;
+mod timing;
 
-pub use accelerator::{
-    DataflowPolicy, IdgnnAccelerator, SchedulerPolicy, SimOptions, SimReport, SnapshotSim,
-};
+pub use accelerator::{DataflowPolicy, IdgnnAccelerator, SchedulerPolicy, SimOptions};
 pub use dataflow::{RnnMapping, TorusDataflow};
 pub use diu::{Diu, DiuOutput};
 pub use error::{CoreError, Result};
+pub use timing::{time_snapshot, PhasePolicy, SimReport, SnapshotSim};
 // The Eqs. 16–22 scheduler moved to `idgnn-hw` in PR 6 so the budget
 // verifier and `idgnn-dse` can use it without the full-system simulator;
 // re-exported here for API compatibility.

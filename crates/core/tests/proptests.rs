@@ -77,7 +77,7 @@ proptest! {
             coo.push(r, c, 1.0).unwrap();
         }
         let m: CsrMatrix = coo.to_csr();
-        let lb = TorusDataflow::new(pes).load_balance(&m);
+        let lb = TorusDataflow::new(pes).load_balance(m.indptr());
         prop_assert!((0.0..=1.0 + 1e-9).contains(&lb), "lb {lb}");
     }
 

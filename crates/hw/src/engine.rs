@@ -101,26 +101,6 @@ impl PhaseTiming {
     }
 }
 
-/// Timing + energy report of a simulated phase sequence.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct EngineReport {
-    /// Per-phase timings, in order.
-    pub phases: Vec<PhaseTiming>,
-    /// Total latency, cycles (no cross-kernel overlap applied).
-    pub total_cycles: f64,
-    /// Energy breakdown.
-    pub energy: EnergyBreakdown,
-    /// Total DRAM bytes moved.
-    pub dram_bytes: u64,
-}
-
-impl EngineReport {
-    /// Total latency in seconds at `frequency_hz`.
-    pub fn seconds(&self, frequency_hz: u64) -> f64 {
-        self.total_cycles / frequency_hz as f64
-    }
-}
-
 /// The timing/energy engine for one accelerator configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Engine {
@@ -192,19 +172,6 @@ impl Engine {
         let offchip = self.energy.offchip_pj(w.dram_bytes());
         EnergyBreakdown::new(&self.energy, compute, onchip, offchip)
     }
-
-    /// Runs a back-to-back phase sequence.
-    pub fn run_sequence(&self, work: &[PhaseWork]) -> EngineReport {
-        let mut report = EngineReport::default();
-        for w in work {
-            let t = self.phase_timing(w);
-            report.total_cycles += t.total_cycles();
-            report.energy = report.energy + self.phase_energy(w);
-            report.dram_bytes += w.dram_bytes();
-            report.phases.push(t);
-        }
-        report
-    }
 }
 
 /// Pipeline-overlap helper: total cycles of stage pairs where `b[t]` may run
@@ -271,29 +238,11 @@ mod tests {
     }
 
     #[test]
-    fn sequence_accumulates() {
-        let e = engine();
-        let seq = [work(16_384 * 10, 0), work(16_384 * 20, 0)];
-        let r = e.run_sequence(&seq);
-        assert_eq!(r.phases.len(), 2);
-        assert!((r.total_cycles - 30.0).abs() < 1e-9);
-        assert!(r.energy.total_pj() > 0.0);
-    }
-
-    #[test]
     fn dram_heavy_phase_energy_is_offchip_dominated() {
         let e = engine();
         let en = e.phase_energy(&work(10, 1 << 20));
         assert!(en.offchip_pj > en.compute_pj);
         assert!(en.offchip_pj > en.onchip_pj);
-    }
-
-    #[test]
-    fn report_seconds() {
-        let e = engine();
-        let r = e.run_sequence(&[work(16_384 * 700_000_000 / 1000, 0)]);
-        // 700e6/1000 cycles at 700 MHz = 1 ms.
-        assert!((r.seconds(700_000_000) - 1e-3).abs() < 1e-6);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub use budget::{
 pub use config::{nearest_square_side, AcceleratorConfig};
 pub use dram::{AccessPattern, DramModel, BURST_BYTES, ROW_MISS_PENALTY_CYCLES};
 pub use energy::{EnergyBreakdown, EnergyModel};
-pub use engine::{overlap_cycles, Bound, Engine, EngineReport, PhaseTiming, PhaseWork};
+pub use engine::{overlap_cycles, Bound, Engine, PhaseTiming, PhaseWork};
 pub use error::{HwError, Result};
 pub use microsim::{MicrosimResult, PeMicrosim, TileWork};
 pub use ringsim::RingSim;

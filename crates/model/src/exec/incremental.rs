@@ -10,7 +10,7 @@ use idgnn_sparse::{ops, DenseMatrix, OpStats};
 
 use crate::cost::{dense_bytes, DataClass, MemoryModel, Phase, SnapshotCost, Traffic};
 use crate::error::Result;
-use crate::exec::{push_rnn, ExecutionResult, SnapshotOutput};
+use crate::exec::{push_rnn, ExecutionResult, OperatorFacts, SnapshotOutput};
 use crate::lstm::LstmState;
 use crate::DgnnModel;
 
@@ -27,6 +27,7 @@ pub(crate) fn run(
 
     let mut outputs = Vec::with_capacity(snaps.len());
     let mut costs = Vec::with_capacity(snaps.len());
+    let mut operators = Vec::with_capacity(snaps.len());
     let mut state = LstmState::zeros(v, dims.rnn_hidden_dim);
 
     // ---- Snapshot 0: full pipeline, caching every layer's output. ----
@@ -73,6 +74,7 @@ pub(crate) fn run(
     push_rnn(model, &z, &mut state, v, mem, &mut cost0)?;
     outputs.push(SnapshotOutput { z: z.clone(), state: state.clone() });
     costs.push(cost0);
+    operators.push(OperatorFacts::of(&a_prev));
 
     // ---- Subsequent snapshots: affected-set propagation. ----
     for (t, snap) in snaps.iter().enumerate().skip(1) {
@@ -210,9 +212,10 @@ pub(crate) fn run(
         push_rnn(model, &z, &mut state, v, mem, &mut cost)?;
         outputs.push(SnapshotOutput { z: z.clone(), state: state.clone() });
         costs.push(cost);
+        operators.push(OperatorFacts::of(&a_next));
         a_prev = a_next;
     }
-    Ok(ExecutionResult { outputs, costs })
+    Ok(ExecutionResult { outputs, costs, operators })
 }
 
 /// Re-exported for tests: the structural rows of an operator delta.

@@ -16,11 +16,10 @@ mod incremental;
 mod onepass;
 mod recompute;
 
-pub use idgnn_graph::reorder::ReorderStrategy;
 pub use onepass::{CombinationOrder, OnePassOptions};
 
 use idgnn_graph::DynamicGraph;
-use idgnn_sparse::DenseMatrix;
+use idgnn_sparse::{CsrMatrix, DenseMatrix};
 
 use crate::cost::{dense_bytes, DataClass, MemoryModel, Phase, SnapshotCost, Traffic};
 use crate::error::Result;
@@ -70,6 +69,56 @@ pub struct SnapshotOutput {
     pub state: LstmState,
 }
 
+/// Structural facts about one snapshot's normalized operator `Â^t`,
+/// recorded by the executor that built it. The accelerator simulators time
+/// an execution from these facts and never re-ingest the graph.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OperatorFacts {
+    /// `Â^t.csr_bytes()`.
+    pub csr_bytes: u64,
+    /// A copy of `Â^t.indptr()`: per-row populations and the load of any
+    /// contiguous row split.
+    pub indptr: Vec<usize>,
+    /// The operator delta `ΔÂ^t = Â^t − Â^{t−1}` (zeros pruned). Recorded
+    /// by the one-pass executor for `t > 0` only.
+    pub delta: Option<DeltaFacts>,
+}
+
+/// Structural facts about one operator delta `ΔÂ^t`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeltaFacts {
+    /// `ΔÂ^t.csr_bytes()`.
+    pub csr_bytes: u64,
+    /// Rows of `ΔÂ^t` with at least one stored entry.
+    pub nonempty_rows: usize,
+}
+
+impl OperatorFacts {
+    /// The facts of `a`, without a delta.
+    pub fn of(a: &CsrMatrix) -> Self {
+        Self { csr_bytes: a.csr_bytes(), indptr: a.indptr().to_vec(), delta: None }
+    }
+
+    /// The facts of `a`, with `delta = a − (previous operator)`.
+    pub fn with_delta(a: &CsrMatrix, delta: &CsrMatrix) -> Self {
+        let nonempty_rows = (0..delta.rows()).filter(|&r| delta.row_nnz(r) > 0).count();
+        Self {
+            delta: Some(DeltaFacts { csr_bytes: delta.csr_bytes(), nonempty_rows }),
+            ..Self::of(a)
+        }
+    }
+
+    /// Rows (vertices) of the operator.
+    pub fn rows(&self) -> usize {
+        self.indptr.len().saturating_sub(1)
+    }
+
+    /// Stored entries of the operator.
+    pub fn nnz(&self) -> usize {
+        self.indptr.last().copied().unwrap_or(0)
+    }
+}
+
 /// Full execution record over a dynamic graph.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionResult {
@@ -77,6 +126,8 @@ pub struct ExecutionResult {
     pub outputs: Vec<SnapshotOutput>,
     /// Per-snapshot costs, in time order.
     pub costs: Vec<SnapshotCost>,
+    /// Per-snapshot facts about the normalized operator, in time order.
+    pub operators: Vec<OperatorFacts>,
 }
 
 impl ExecutionResult {

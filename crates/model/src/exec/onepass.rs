@@ -20,13 +20,12 @@
 //! No layer-by-layer intermediate features exist, so the `Intermediate`
 //! DRAM class is structurally zero — the paper's headline claim.
 
-use idgnn_graph::reorder::{self, Permutation, ReorderStrategy};
-use idgnn_graph::{DynamicGraph, GraphSnapshot};
+use idgnn_graph::DynamicGraph;
 use idgnn_sparse::{ops, CsrMatrix, DenseMatrix, OpStats};
 
 use crate::cost::{dense_bytes, DataClass, MemoryModel, Phase, SnapshotCost, Traffic};
 use crate::error::Result;
-use crate::exec::{push_rnn, ExecutionResult, SnapshotOutput};
+use crate::exec::{push_rnn, ExecutionResult, OperatorFacts, SnapshotOutput};
 use crate::fusion::fuse_weights;
 use crate::lstm::LstmState;
 use crate::onepass::{fused_dissimilarity_cached, DissimilarityStrategy, PowerCache};
@@ -67,20 +66,6 @@ pub struct OnePassOptions {
     /// is preserved; only the receptive-field algebra is skipped when the
     /// delta has saturated the graph (the regime the paper's §VI-F flags).
     pub adaptive_refresh: bool,
-    /// Incremental power updates: on a [`PowerCache`] hit with a small dirty
-    /// frontier, patch the cached powers (dirty-row SpGEMM + CSR row
-    /// splicing) instead of rebuilding the `(A+ΔA)` chain. Bit-identical
-    /// outputs and op counts either way (proptest-enforced); `false` forces
-    /// the full rebuild on every hit (the PR 2 behaviour), which the
-    /// ablation benches use as the baseline.
-    pub incremental_power_updates: bool,
-    /// Locality-aware vertex reordering (DESIGN.md §14): snapshots are
-    /// permuted once at ingest, the whole power-chain/DIU pipeline runs in
-    /// permuted space, and outputs are mapped back through the inverse
-    /// permutation. A similarity transform — per-phase op counts, DRAM
-    /// traffic, and `saved` accounting are unchanged (test-enforced), only
-    /// cache behaviour moves.
-    pub reorder: ReorderStrategy,
 }
 
 impl Default for OnePassOptions {
@@ -89,8 +74,6 @@ impl Default for OnePassOptions {
             strategy: DissimilarityStrategy::default(),
             order: CombinationOrder::default(),
             adaptive_refresh: true,
-            incremental_power_updates: true,
-            reorder: ReorderStrategy::Identity,
         }
     }
 }
@@ -135,25 +118,6 @@ fn chain_apply(a: &CsrMatrix, x: &DenseMatrix) -> (DenseMatrix, OpStats) {
     (out, st)
 }
 
-/// Maps a permuted-space output pair back to original vertex labels.
-/// Identity (no permutation) takes the legacy clone path, bit-for-bit.
-fn emit_output(
-    x_c: &DenseMatrix,
-    state: &LstmState,
-    perm: Option<&Permutation>,
-) -> Result<SnapshotOutput> {
-    Ok(match perm {
-        None => SnapshotOutput { z: x_c.clone(), state: state.clone() },
-        Some(p) => SnapshotOutput {
-            z: x_c.permute_rows(p.inverse())?,
-            state: LstmState {
-                h: state.h.permute_rows(p.inverse())?,
-                c: state.c.permute_rows(p.inverse())?,
-            },
-        },
-    })
-}
-
 pub(crate) fn run(
     model: &DgnnModel,
     dg: &DynamicGraph,
@@ -161,33 +125,6 @@ pub(crate) fn run(
     options: &OnePassOptions,
 ) -> Result<ExecutionResult> {
     let snaps = dg.materialize()?;
-    // Locality reordering: relabel every snapshot once at ingest and run the
-    // whole pipeline in permuted space. The permutation comes from the
-    // initial structure so the ΔA stream stays consistent across snapshots.
-    let perm = match options.reorder {
-        ReorderStrategy::Identity => None,
-        strategy => {
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-            Some(reorder::reorder(snaps[0].adjacency(), strategy)?)
-        }
-    };
-    let snaps: Vec<GraphSnapshot> = match &perm {
-        None => snaps,
-        Some(p) => {
-            let mut permuted = Vec::with_capacity(snaps.len());
-            for s in &snaps {
-                // Symmetry is preserved by a symmetric permute, so skip the
-                // O(nnz) re-validation the checked constructor would redo.
-                permuted.push(GraphSnapshot::new_unchecked_symmetry(
-                    s.adjacency().permute_symmetric(p.forward())?,
-                    s.features().permute_rows(p.forward())?,
-                )?);
-            }
-            permuted
-        }
-    };
-    // lint: allow(panic-surface) -- a full-range reslice cannot panic
-    let snaps = &snaps[..];
     let dims = model.dims();
     let v = dg.initial().num_vertices();
     let l = dims.gnn_layers as u32;
@@ -206,13 +143,10 @@ pub(crate) fn run(
 
     let mut outputs = Vec::with_capacity(snaps.len());
     let mut costs = Vec::with_capacity(snaps.len());
+    let mut operators = Vec::with_capacity(snaps.len());
     let mut state = LstmState::zeros(v, dims.rnn_hidden_dim);
     // Cross-snapshot power cache for the general-strategy ΔA_C chain.
     let mut power_cache = PowerCache::new();
-    if !options.incremental_power_updates {
-        // Threshold 0.0 disables the dirty-row patch: every hit rebuilds.
-        power_cache.set_patch_threshold(0.0);
-    }
 
     // ---- Snapshot 0: establish the fused state. ----
     let mut cost0 = SnapshotCost::default();
@@ -271,8 +205,9 @@ pub(crate) fn run(
     let mut x0_prev = snaps[0].features().clone();
 
     push_rnn(model, &x_c, &mut state, v, mem, &mut cost0)?;
-    outputs.push(emit_output(&x_c, &state, perm.as_ref())?);
+    outputs.push(SnapshotOutput { z: x_c.clone(), state: state.clone() });
     costs.push(cost0);
+    operators.push(OperatorFacts::of(&a_prev));
 
     for (t, snap) in snaps.iter().enumerate().skip(1) {
         let mut cost = SnapshotCost::default();
@@ -373,8 +308,9 @@ pub(crate) fn run(
             }
             x_c = activation.apply(&pre_act);
             push_rnn(model, &x_c, &mut state, v, mem, &mut cost)?;
-            outputs.push(emit_output(&x_c, &state, perm.as_ref())?);
+            outputs.push(SnapshotOutput { z: x_c.clone(), state: state.clone() });
             costs.push(cost);
+            operators.push(OperatorFacts::with_delta(&a_next, &d_op));
             a_prev = a_next;
             x0_prev = snap.features().clone();
             continue;
@@ -496,13 +432,14 @@ pub(crate) fn run(
 
         // RNN consumes X_C in place.
         push_rnn(model, &x_c, &mut state, v, mem, &mut cost)?;
-        outputs.push(emit_output(&x_c, &state, perm.as_ref())?);
+        outputs.push(SnapshotOutput { z: x_c.clone(), state: state.clone() });
         costs.push(cost);
+        operators.push(OperatorFacts::with_delta(&a_next, &d_op));
 
         a_prev = a_next;
         x0_prev = snap.features().clone();
     }
-    Ok(ExecutionResult { outputs, costs })
+    Ok(ExecutionResult { outputs, costs, operators })
 }
 
 #[cfg(test)]
@@ -779,87 +716,6 @@ mod tests {
             r.costs[1..].iter().map(|c| c.ops_of(crate::Phase::Diu).total()).sum()
         };
         assert!(diu(&d) > diu(&a), "deletion-heavy {} !> addition-heavy {}", diu(&d), diu(&a));
-    }
-
-    #[test]
-    fn incremental_power_updates_toggle_preserves_costs_and_outputs() {
-        // The dirty-row patch must be invisible everywhere except wall-clock
-        // and the `saved` accounting: identical outputs (bitwise), identical
-        // per-phase op counts and DRAM traffic.
-        let (model, dg) = paper_regime(3);
-        let mem = MemoryModel::default();
-        let run_with = |incremental: bool| {
-            crate::exec::run_onepass_with(
-                &model,
-                &dg,
-                &mem,
-                &OnePassOptions {
-                    strategy: DissimilarityStrategy::General,
-                    incremental_power_updates: incremental,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-        };
-        let on = run_with(true);
-        let off = run_with(false);
-        assert_eq!(on.costs.len(), off.costs.len());
-        for (t, (a, b)) in on.costs.iter().zip(&off.costs).enumerate() {
-            assert_eq!(a.phases, b.phases, "snapshot {t}: phase costs must not depend on patching");
-        }
-        for (a, b) in on.outputs.iter().zip(&off.outputs) {
-            assert!(a.z.approx_eq(&b.z, 0.0), "patched outputs must be bitwise identical");
-        }
-        let saved_total =
-            |r: &ExecutionResult| r.costs.iter().map(|c| c.saved.total()).sum::<u64>();
-        assert!(saved_total(&on) >= saved_total(&off));
-    }
-
-    #[test]
-    fn reordering_preserves_costs_and_outputs_at_parallelism_1_and_4() {
-        // The permuted-space execution contract (DESIGN.md §14): every
-        // ordering is a similarity transform, so per-phase op counts, DRAM
-        // traffic, and `saved` accounting — everything the figure JSON is
-        // built from — must be *byte-identical* to the unordered baseline,
-        // and the inverse-mapped outputs must agree numerically (float
-        // reassociation in permuted visit order allows last-bit drift).
-        let (model, dg) = paper_regime(3);
-        let mem = MemoryModel::default();
-        for threads in [1usize, 4] {
-            let _scope = idgnn_sparse::parallel::kernel_scope(
-                idgnn_sparse::Parallelism::new(threads),
-            );
-            let run_with = |strategy: ReorderStrategy| {
-                crate::exec::run_onepass_with(
-                    &model,
-                    &dg,
-                    &mem,
-                    &OnePassOptions { reorder: strategy, ..Default::default() },
-                )
-                .unwrap()
-            };
-            let base = run_with(ReorderStrategy::Identity);
-            for strategy in reorder::ALL_STRATEGIES {
-                let got = run_with(strategy);
-                assert_eq!(base.costs.len(), got.costs.len());
-                for (t, (a, b)) in base.costs.iter().zip(&got.costs).enumerate() {
-                    assert_eq!(
-                        a.phases, b.phases,
-                        "{strategy} @ {threads} threads, snapshot {t}: phase costs changed"
-                    );
-                    assert_eq!(a.saved, b.saved, "{strategy} @ {threads} threads, snapshot {t}");
-                }
-                for (t, (a, b)) in base.outputs.iter().zip(&got.outputs).enumerate() {
-                    assert!(
-                        a.z.approx_eq(&b.z, 1e-4),
-                        "{strategy} @ {threads} threads, snapshot {t}: z diff {}",
-                        a.z.max_abs_diff(&b.z).unwrap()
-                    );
-                    assert!(a.state.h.approx_eq(&b.state.h, 1e-4));
-                    assert!(a.state.c.approx_eq(&b.state.c, 1e-4));
-                }
-            }
-        }
     }
 
     #[test]

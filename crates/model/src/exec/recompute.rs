@@ -6,7 +6,7 @@ use idgnn_sparse::OpStats;
 
 use crate::cost::{dense_bytes, DataClass, MemoryModel, Phase, SnapshotCost, Traffic};
 use crate::error::Result;
-use crate::exec::{push_rnn, ExecutionResult, SnapshotOutput};
+use crate::exec::{push_rnn, ExecutionResult, OperatorFacts, SnapshotOutput};
 use crate::lstm::LstmState;
 use crate::DgnnModel;
 
@@ -21,6 +21,7 @@ pub(crate) fn run(
     let mut state = LstmState::zeros(v, dims.rnn_hidden_dim);
     let mut outputs = Vec::with_capacity(snaps.len());
     let mut costs = Vec::with_capacity(snaps.len());
+    let mut operators = Vec::with_capacity(snaps.len());
 
     for snap in &snaps {
         let mut cost = SnapshotCost::default();
@@ -71,8 +72,9 @@ pub(crate) fn run(
         push_rnn(model, &z, &mut state, v, mem, &mut cost)?;
         outputs.push(SnapshotOutput { z, state: state.clone() });
         costs.push(cost);
+        operators.push(OperatorFacts::of(&a_norm));
     }
-    Ok(ExecutionResult { outputs, costs })
+    Ok(ExecutionResult { outputs, costs, operators })
 }
 
 #[cfg(test)]

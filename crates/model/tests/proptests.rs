@@ -319,7 +319,6 @@ proptest! {
                 adaptive_refresh: false,
                 strategy: DissimilarityStrategy::TransposeOptimized,
                 order: CombinationOrder::Auto,
-                ..Default::default()
             },
         )
         .unwrap();

@@ -4,7 +4,8 @@
 #
 # 1. release build of the whole workspace;
 # 2. full test suite (unit, integration, proptests, equivalence suites),
-#    then the fused RNN cell identity suite again at IDGNN_PARALLELISM=4;
+#    then the fused RNN cell identity suite and the golden simulated-figure
+#    suite again at IDGNN_PARALLELISM=4;
 # 3. sparse suite again with strict-invariants (runtime CsrMatrix::validate
 #    re-asserted at every construction/splice/assemble site);
 # 4. sparse suite under schedule-perturbation: the parallel helpers run
@@ -36,6 +37,12 @@ echo "==> fused RNN cell identity (IDGNN_PARALLELISM=4)"
 # bit for bit, with the process-default kernel parallelism at 4 so the
 # un-scoped model-level step also runs row-blocked (DESIGN.md §17).
 IDGNN_PARALLELISM=4 cargo test -q -p idgnn-model --test rnn_fused_identity
+
+echo "==> golden simulated figures (IDGNN_PARALLELISM=4)"
+# Every simulator times the operator facts its executor recorded, and the
+# executors run row-parallel at this setting; the simulated figures must
+# still match the golden table bit for bit.
+IDGNN_PARALLELISM=4 cargo test -q -p idgnn-core --test sim_golden
 
 echo "==> cargo test -p idgnn-sparse --features strict-invariants"
 cargo test -q -p idgnn-sparse --features strict-invariants
